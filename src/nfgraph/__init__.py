@@ -42,7 +42,6 @@ from .nfg import (
     NfgGraph,
     classify,
     separated,
-    validate,
     wrap_half_edge_with_equality,
 )
 from .exterior import (
@@ -78,7 +77,6 @@ from .models import (
     nfg_to_cfg,
     nfg_to_fg,
     normalize_constrained,
-    sample,
     sample_many,
     to_cdn,
 )

@@ -268,6 +268,13 @@ def _cmd_sample(args, doc: NfgDocument) -> Dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="nfgraph",
                 description="normal factor graphs: evaluation, transformation, "
@@ -316,7 +323,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="draw external samples, report TV distance")
     sp.add_argument("file")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--count", type=int, default=10000)
+    sp.add_argument("--count", type=_positive_int, default=10000)
     sp.add_argument("--max-rejects", type=int, default=1_000_000)
 
     return p

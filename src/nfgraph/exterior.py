@@ -10,15 +10,16 @@ trees, with low-complexity shortcuts for tagged equality/sum/max vertices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .algebra import GroupAlphabet, group_add, group_neg, make_product_domain, ordered_sizes
 from .factor import Factor, OpCounter, contract, multiply_pointwise
 from .indicators import make_indicator
-from .nfg import InternalEdge, NfgGraph, classify
+from .nfg import HalfEdge, InternalEdge, NfgGraph, classify
 
 __all__ = [
     "BruteForceSizeError",
@@ -121,85 +122,63 @@ class EliminationReport:
 
 
 class _WorkGraph:
-    """Mutable view used during elimination: axes are relabeled to edge ids."""
+    """Mutable view used during elimination: axes are relabeled to edge ids.
+
+    An internal-edge label sits on the factors of both its current endpoints,
+    so two vertices are adjacent exactly when their factors share a label.
+    """
 
     def __init__(self, g: NfgGraph):
         self.factors: Dict[str, Factor] = {}
-        self.internal: Dict[str, Tuple[str, str, int]] = {}  # id -> (u, v, size)
-        self.half: Dict[str, Tuple[str, str, int]] = {}  # id -> (vertex, var, size)
+        self.holders: Dict[str, Set[str]] = {}  # internal edge id -> its two vertices
+        self.order = {e.id: k for k, e in enumerate(g.internal_edges)}
         self.steps: List[EliminationStep] = []
 
-        binding: Dict[Tuple[str, str], str] = {}
-        for e in g.internal_edges:
-            self.internal[e.id] = (e.ends[0][0], e.ends[1][0], e.alphabet.size)
-            binding[e.ends[0]] = e.id
-            binding[e.ends[1]] = e.id
-        for h in g.half_edges:
-            self.half[h.id] = (h.end[0], h.var, h.alphabet.size)
-            binding[h.end] = h.id
-
         for v, factor in g.vertices.items():
-            loop_edges = [e for e in g.internal_at(v) if e.is_loop()]
-            mapping = {axis: binding[(v, axis)] for axis in factor.labels}
+            loop_edges = g.edges_between(v, v)
             if loop_edges:
                 factor, ops = _resolve_loops(factor, v, loop_edges)
                 for e in loop_edges:
-                    del self.internal[e.id]
                     self.steps.append(EliminationStep((v,), (e.id,), ops[e.id]))
-                mapping = {axis: binding[(v, axis)] for axis in factor.labels}
-            self.factors[v] = factor.relabel(mapping)
+            self.factors[v] = factor.relabel(
+                {axis: g.edge_at(v, axis).id for axis in factor.labels})
+        for e in g.internal_edges:
+            if not e.is_loop():
+                self.holders[e.id] = set(e.vertices)
 
-    def edges_between(self, u: str, v: str) -> List[str]:
-        return [eid for eid, (a, b, _) in self.internal.items() if {a, b} == {u, v}]
-
-    def incident_sizes(self, v: str) -> List[Tuple[str, int]]:
-        out = []
-        for eid, (a, b, size) in self.internal.items():
-            if v in (a, b):
-                out.append((eid, size))
-        for eid, (a, _, size) in self.half.items():
-            if a == v:
-                out.append((eid, size))
-        return out
+    def shared(self, u: str, v: str) -> List[str]:
+        """Edges joining u and v, in the original declaration order."""
+        common = set(self.factors[u].labels) & set(self.factors[v].labels)
+        return sorted(common, key=self.order.__getitem__)
 
     def neighbors(self, v: str) -> List[str]:
-        out = []
-        for a, b, _ in self.internal.values():
-            if a == v and b not in out and b != v:
-                out.append(b)
-            elif b == v and a not in out and a != v:
-                out.append(a)
+        out = set()
+        for label in self.factors[v].labels:
+            out.update(self.holders.get(label, ()))
+        out.discard(v)
         return sorted(out)
 
     def pair_cost(self, u: str, v: str) -> int:
-        shared = set(self.edges_between(u, v))
-        ops = 1
-        for eid, size in self.incident_sizes(u) + self.incident_sizes(v):
-            ops *= size
-        # shared edges were multiplied once per endpoint; the cost rule wants
-        # output states (non-shared once) times shared states (shared once)
-        for eid in shared:
-            ops //= self.internal[eid][2]
-        return ops
+        # output states times summed states: every label of the pair once
+        sizes = dict(self.factors[u].domain.axes)
+        sizes.update(self.factors[v].domain.axes)
+        return math.prod(a.size for a in sizes.values())
 
     def merge(self, u: str, v: str) -> None:
         if u == v or u not in self.factors or v not in self.factors:
             raise ValueError(f"cannot merge {u!r} and {v!r}")
-        shared = self.edges_between(u, v)
+        shared = self.shared(u, v)
         if not shared:
             raise ValueError(f"vertices {u!r} and {v!r} are not adjacent")
         ops = self.pair_cost(u, v)
-        merged = contract([self.factors[u], self.factors[v]])
-        del self.factors[v]
-        self.factors[u] = merged
-        for eid in shared:
-            del self.internal[eid]
-        for eid, (a, b, size) in list(self.internal.items()):
-            if v in (a, b):
-                self.internal[eid] = (u if a == v else a, u if b == v else b, size)
-        for eid, (a, var, size) in list(self.half.items()):
-            if a == v:
-                self.half[eid] = (u, var, size)
+        fv = self.factors.pop(v)
+        self.factors[u] = contract([self.factors[u], fv])
+        for label in fv.labels:
+            if label in shared:
+                del self.holders[label]
+            elif label in self.holders:
+                self.holders[label].discard(v)
+                self.holders[label].add(u)
         self.steps.append(EliminationStep((u, v), tuple(shared), ops))
 
 
@@ -297,8 +276,7 @@ def eliminate(g: NfgGraph,
     else:
         result = remaining[0]
 
-    mapping = {eid: var for eid, (_, var, _) in work.half.items()}
-    result = result.relabel(mapping)
+    result = result.relabel({h.id: h.var for h in g.half_edges})
     want = [h.var for h in g.half_edges]
     result = result.transpose(want)
     return EliminationReport(result=result, steps=work.steps)
@@ -313,8 +291,7 @@ def _eliminate_block(work: _WorkGraph, center: str, use_kernels: bool) -> None:
         _star_merge(work, center, neighbors)
         return
     for n in neighbors:
-        if n in work.factors and center in work.factors and \
-                work.edges_between(center, n):
+        if n in work.factors and center in work.factors and work.shared(center, n):
             work.merge(center, n)
 
 
@@ -325,7 +302,7 @@ def _star_applicable(work: _WorkGraph, center: str, neighbors: List[str]) -> boo
     leaf_edges = []
     for n in neighbors:
         mf = work.factors[n]
-        between = work.edges_between(center, n)
+        between = work.shared(center, n)
         if mf.ndim != 1 or len(between) != 1:
             return False
         leaf_edges.append(between[0])
@@ -337,7 +314,7 @@ def _star_merge(work: _WorkGraph, center: str, neighbors: List[str]) -> None:
     incoming: Dict[str, np.ndarray] = {}
     eliminated = []
     for n in neighbors:
-        eid = work.edges_between(center, n)[0]
+        eid = work.shared(center, n)[0]
         incoming[eid] = work.factors[n].values
         eliminated.append(eid)
     target = next((l for l in f.labels if l not in incoming), None)
@@ -346,7 +323,7 @@ def _star_merge(work: _WorkGraph, center: str, neighbors: List[str]) -> None:
     for n in neighbors:
         del work.factors[n]
     for eid in eliminated:
-        del work.internal[eid]
+        del work.holders[eid]
     if target is None:
         domain = make_product_domain([])
     else:
@@ -484,16 +461,11 @@ def sum_product(g: NfgGraph,
     if not g.is_connected():
         raise ValueError("sum_product needs a connected graph")
 
-    binding: Dict[Tuple[str, str], str] = {}
-    for e in g.internal_edges:
-        binding[e.ends[0]] = e.id
-        binding[e.ends[1]] = e.id
-    var_of_half = {}
-    for h in g.half_edges:
-        binding[h.end] = h.var
-        var_of_half[h.end] = h.var
+    def label(edge) -> str:
+        return edge.var if isinstance(edge, HalfEdge) else edge.id
+
     graph_factors = {
-        v: f.relabel({axis: binding[(v, axis)] for axis in f.labels})
+        v: f.relabel({axis: label(g.edge_at(v, axis)) for axis in f.labels})
         for v, f in g.vertices.items()
     }
 
@@ -501,22 +473,23 @@ def sum_product(g: NfgGraph,
     messages: Dict[Tuple[str, str], Factor] = {}
     scales: Dict[Tuple[str, str], float] = {}
 
-    def neighbors(v: str) -> List[str]:
-        return g.neighbors(v)
-
-    pending = {(u, v) for u in g.vertex_ids for v in neighbors(u)}
-    while pending:
-        progressed = False
-        for u, v in sorted(pending):
-            needed = [(w, u) for w in neighbors(u) if w != v]
-            if all(m in messages for m in needed):
-                messages[(u, v)] = _spa_message(
-                    g, graph_factors[u], u, v, messages, counter,
-                    use_kernels, extract_scales, scales)
-                pending.discard((u, v))
-                progressed = True
-        if not progressed:
-            raise RuntimeError("message schedule stalled")
+    # collect toward the first vertex in reverse DFS preorder, then distribute
+    # in preorder: every message finds its inputs already computed
+    stack = list(g.vertex_ids[:1])
+    parent = {v: v for v in stack}
+    preorder: List[str] = []
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    schedule = [(u, parent[u]) for u in reversed(preorder[1:])] + \
+        [(parent[u], u) for u in preorder[1:]]
+    for u, v in schedule:
+        messages[(u, v)] = _spa_message(g, graph_factors[u], u, v, messages, counter,
+                                        use_kernels, extract_scales, scales)
 
     marginals: Dict[str, Factor] = {}
     for e in g.internal_edges:
@@ -552,7 +525,7 @@ def _spa_message(g: NfgGraph, factor: Factor, u: str, v: str,
         use_kernels
         and factor.tag in ("eq", "sum", "max")
         and all(m.ndim == 1 and m.labels == (eid,) for eid, m in incoming)
-        and not any(h.end[0] == u for h in g.half_edges)
+        and not g.half_at(u)
     )
     if can_kernel:
         vecs = {eid: m.values for eid, m in incoming}

@@ -42,18 +42,14 @@ __all__ = [
     "SampleResult",
     "fg_to_nfg",
     "nfg_to_fg",
-    "convert_fg",
     "fg_global_function",
     "normalize_constrained",
     "cfg_to_nfg",
     "nfg_to_cfg",
-    "convert_cfg",
     "cfg_global_function",
     "convolve",
     "check_cdf_axioms",
     "to_cdn",
-    "cdn_global_function",
-    "sample",
     "sample_many",
     "independence",
 ]
@@ -185,23 +181,15 @@ def nfg_to_fg(g: NfgGraph, tol: float = REL_TOL) -> FactorGraphDesc:
                 raise ValueError(f"interface {i!r} is not an equality indicator")
         var_of_vertex[i] = h.var
         variables.append((h.var, h.alphabet))
-    functions = []
-    for j in sorted(flags.latent_set):
-        factor = g.factor(j)
-        neighbors = []
-        for axis in factor.labels:
-            e = next(e for e in g.internal_at(j) if (j, axis) in e.ends)
-            neighbors.append(var_of_vertex[e.other_end(j)[0]])
-        functions.append((j, factor, tuple(neighbors)))
+    functions = [(j, g.factor(j), _neighbor_vars(g, j, var_of_vertex))
+                 for j in sorted(flags.latent_set)]
     return FactorGraphDesc(tuple(variables), tuple(functions))
 
 
-def convert_fg(x, direction: str):
-    if direction == "to_nfg":
-        return fg_to_nfg(x)
-    if direction == "to_fg":
-        return nfg_to_fg(x)
-    raise ValueError(f"unknown direction {direction!r}")
+def _neighbor_vars(g: NfgGraph, j: str, var_of_vertex: Dict[str, str]) -> Tuple[str, ...]:
+    """Per axis of latent ``j``, the variable of the interface across its edge."""
+    return tuple(var_of_vertex[g.edge_at(j, axis).other_end(j)[0]]
+                 for axis in g.factor(j).labels)
 
 
 def normalize_constrained(g: NfgGraph, tol: float = REL_TOL) -> NfgGraph:
@@ -233,7 +221,7 @@ def normalize_constrained(g: NfgGraph, tol: float = REL_TOL) -> NfgGraph:
         relabel.update({f"arg{k + 2}": ax for k, ax in enumerate(tail_axes)})
         vertices[i] = eq.relabel(relabel)
         for part, axis in zip(parts, tail_axes):
-            e = next(e for e in g.internal_at(i) if (i, axis) in e.ends)
+            e = g.edge_at(i, axis)
             j, j_axis = e.other_end(i)
             # part(pivot, tail): the pivot side becomes the latent's new axis
             absorb[j].append(part.relabel({pivot: f"{e.id}__new", axis: e.id}))
@@ -243,10 +231,7 @@ def normalize_constrained(g: NfgGraph, tol: float = REL_TOL) -> NfgGraph:
         if not pieces:
             continue
         f = g.factor(j)
-        mapping = {}
-        for axis in f.labels:
-            e = next(e for e in g.internal_at(j) if (j, axis) in e.ends)
-            mapping[axis] = e.id
+        mapping = {axis: g.edge_at(j, axis).id for axis in f.labels}
         new = contract([f.relabel(mapping)] + pieces)
         new = new.relabel({l: l.replace("__new", "") for l in new.labels})
         vertices[j] = new
@@ -357,23 +342,9 @@ def nfg_to_cfg(g: NfgGraph, tol: float = REL_TOL) -> CfgDesc:
                 raise ValueError(f"interface {i!r} is not a sum indicator")
         var_of_vertex[i] = h.var
         variables.append((h.var, h.alphabet))
-    functions = []
-    for j in sorted(flags.latent_set):
-        factor = g.factor(j)
-        neighbors = []
-        for axis in factor.labels:
-            e = next(e for e in g.internal_at(j) if (j, axis) in e.ends)
-            neighbors.append(var_of_vertex[e.other_end(j)[0]])
-        functions.append((j, factor, tuple(neighbors)))
+    functions = [(j, g.factor(j), _neighbor_vars(g, j, var_of_vertex))
+                 for j in sorted(flags.latent_set)]
     return CfgDesc(tuple(variables), tuple(functions))
-
-
-def convert_cfg(x, direction: str):
-    if direction == "to_nfg":
-        return cfg_to_nfg(x)
-    if direction == "to_cfg":
-        return nfg_to_cfg(x)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 # -- cumulative distribution networks --------------------------------------------
@@ -457,22 +428,13 @@ def to_cdn(g: NfgGraph, tol: float = REL_TOL) -> CdnDesc:
 
     for j in sorted(latents):
         f = g.factor(j)
-        neighbors = []
-        for axis in f.labels:
-            e = next(e for e in g.internal_at(j) if (j, axis) in e.ends)
-            i = e.other_end(j)[0]
-            neighbors.append(var_of_interface[i])
         cdf = fast_axis_transform(Factor(f.domain, f.values.real), "cumulus",
                                   list(f.labels))
         bad = check_cdf_axioms(cdf)
         if bad:
             raise ValueError(f"cumulus transform of latent {j!r} failed axioms: {bad}")
-        functions.append((j, cdf, tuple(neighbors)))
+        functions.append((j, cdf, _neighbor_vars(g, j, var_of_interface)))
     return CdnDesc(tuple(variables), tuple(functions))
-
-
-def cdn_global_function(desc: CdnDesc) -> Factor:
-    return fg_global_function(desc)
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -536,12 +498,15 @@ def sample_many(g: NfgGraph, n: int, seed: Optional[int] = None,
     raise ValueError("sampling needs a constrained or generative model")
 
 
-def sample(g: NfgGraph, seed: Optional[int] = None, max_rejects: int = 1_000_000,
-           rng: Optional[np.random.Generator] = None) -> Tuple[Dict[str, int], SampleResult]:
-    """One external assignment plus acceptance statistics."""
-    res = sample_many(g, 1, seed=seed, max_rejects=max_rejects, rng=rng)
-    assignment = {v: int(res.assignments[0, k]) for k, v in enumerate(res.variables)}
-    return assignment, res
+def _on_edge_grid(g: NfgGraph, v: str, values: np.ndarray, labels: Sequence[str],
+                  edge_index: Dict[str, int], shape: Tuple[int, ...]) -> np.ndarray:
+    """A table over axes ``labels`` of vertex ``v``, laid out to broadcast
+    against the grid indexed by internal edges (``edge_index``, ``shape``)."""
+    pos = [edge_index[g.edge_at(v, axis).id] for axis in labels]
+    full = [1] * len(shape)
+    for p in pos:
+        full[p] = shape[p]
+    return values.transpose(tuple(np.argsort(pos, kind="stable"))).reshape(full)
 
 
 def _internal_product_table(g: NfgGraph, vertex_ids, edge_index: Dict[str, int],
@@ -550,16 +515,7 @@ def _internal_product_table(g: NfgGraph, vertex_ids, edge_index: Dict[str, int],
     for v in vertex_ids:
         f = g.factor(v)
         real = _require_real_nonneg(f, f"latent {v!r}")
-        pos = []
-        for axis in f.labels:
-            e = next(e for e in g.internal_at(v) if (v, axis) in e.ends)
-            pos.append(edge_index[e.id])
-        order = np.argsort(pos, kind="stable")
-        slab = real.transpose(tuple(order))
-        full = [1] * len(shape)
-        for p in pos:
-            full[p] = shape[p]
-        table = table * slab.reshape(full)
+        table = table * _on_edge_grid(g, v, real, f.labels, edge_index, shape)
     return table
 
 
@@ -601,7 +557,6 @@ def _sample_constrained(g: NfgGraph, flags: ClassFlags, n: int,
             if parts is None:
                 raise ValueError(f"interface {i!r} is not split via its variable")
             for part, axis in zip(parts, [l for l in f.labels if l != pivot]):
-                e = next(e for e in g.internal_at(i) if (i, axis) in e.ends)
                 table = np.abs(part.values)
                 # split pieces are determined up to per-value scale; conditional
                 # draws only need the normalized magnitude profile
@@ -610,7 +565,7 @@ def _sample_constrained(g: NfgGraph, flags: ClassFlags, n: int,
                 if np.min(table.sum(axis=1)) <= 0:
                     raise ValueError(
                         f"interface {i!r}: a conditional row has empty support")
-                pieces.append((e.id, table))
+                pieces.append((g.edge_at(i, axis).id, table))
         cond[i] = pieces
 
     # exact expected acceptance: sum of the exterior over everything, times
@@ -619,19 +574,9 @@ def _sample_constrained(g: NfgGraph, flags: ClassFlags, n: int,
     for i in interfaces:
         f = g.factor(i)
         pivot = g.half_at(i)[0].end[1]
-        summed = Factor(
-            make_product_domain([t for t in f.domain.axes if t[0] != pivot]),
-            f.values.sum(axis=f.domain.axis_index(pivot)))
-        pos = []
-        for axis in summed.labels:
-            e = next(e for e in g.internal_at(i) if (i, axis) in e.ends)
-            pos.append(edge_index[e.id])
-        order = np.argsort(pos, kind="stable")
-        slab = summed.values.real.transpose(tuple(order))
-        full = [1] * len(shape)
-        for p in pos:
-            full[p] = shape[p]
-        g_slab = g_slab * slab.reshape(full)
+        summed = f.values.sum(axis=f.domain.axis_index(pivot)).real
+        tail = [l for l in f.labels if l != pivot]
+        g_slab = g_slab * _on_edge_grid(g, i, summed, tail, edge_index, shape)
     exterior_mass = float((g_slab * h_table).sum())
     proposal_mass = math.prod(z_i.values())
     expected_acceptance = exterior_mass / (h_max * proposal_mass)
@@ -679,8 +624,7 @@ def _sample_generative(g: NfgGraph, flags: ClassFlags, n: int,
         flat = _categorical(rng, real.reshape(-1) / total, n)
         coords = np.unravel_index(flat, real.shape)
         for axis, col in zip(f.labels, coords):
-            e = next(e for e in g.internal_at(j) if (j, axis) in e.ends)
-            edge_vals[e.id] = col.astype(np.intp)
+            edge_vals[g.edge_at(j, axis).id] = col.astype(np.intp)
 
     variables = []
     out = np.empty((n, len(interfaces)), dtype=np.intp)
@@ -694,10 +638,7 @@ def _sample_generative(g: NfgGraph, flags: ClassFlags, n: int,
         pivot = g.half_at(i)[0].end[1]
         lead = [pivot] + [l for l in f.labels if l != pivot]
         arranged = f.transpose(lead).values.real
-        tails = []
-        for axis in lead[1:]:
-            e = next(e for e in g.internal_at(i) if (i, axis) in e.ends)
-            tails.append(edge_vals[e.id])
+        tails = [edge_vals[g.edge_at(i, axis).id] for axis in lead[1:]]
         if tails:
             rows = arranged[(slice(None),) + tuple(tails)].T
         else:

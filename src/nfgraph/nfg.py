@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AnyAlphabet
 from .factor import REL_TOL, Factor, conditional_constant, outer_univariate_profiles, split_decompose
@@ -21,7 +21,6 @@ __all__ = [
     "HalfEdge",
     "NfgGraph",
     "ClassFlags",
-    "validate",
     "classify",
     "separated",
     "wrap_half_edge_with_equality",
@@ -62,7 +61,8 @@ class HalfEdge:
 class NfgGraph:
     """A validated NFG.  Construction performs all structural checks."""
 
-    __slots__ = ("vertices", "internal_edges", "half_edges", "_bound")
+    __slots__ = ("vertices", "internal_edges", "half_edges", "_bound", "_internal_at",
+                 "_half_at", "_internal_by_id", "_half_by_id", "_half_by_var")
 
     def __init__(self,
                  vertices: Mapping[str, Factor],
@@ -72,39 +72,50 @@ class NfgGraph:
         internal = tuple(internal_edges)
         half = tuple(half_edges)
 
-        edge_ids = [e.id for e in internal] + [h.id for h in half]
-        if len(set(edge_ids)) != len(edge_ids):
+        internal_by_id = {e.id: e for e in internal}
+        half_by_id = {h.id: h for h in half}
+        if len(internal_by_id.keys() | half_by_id.keys()) != len(internal) + len(half):
+            edge_ids = [e.id for e in internal] + [h.id for h in half]
             dup = sorted({i for i in edge_ids if edge_ids.count(i) > 1})
             raise ValueError(f"duplicate edge id(s): {dup}")
-        ext = [h.var for h in half]
-        if len(set(ext)) != len(ext):
+        half_by_var = {h.var: h for h in half}
+        if len(half_by_var) != len(half):
+            ext = [h.var for h in half]
             dup = sorted({v for v in ext if ext.count(v) > 1})
             raise ValueError(f"duplicate external variable name(s): {dup}")
 
-        bound: Dict[Endpoint, str] = {}
+        # the incidence index: each endpoint's edge, and each vertex's incident
+        # edges in declaration order (a loop listed once)
+        bound: Dict[Endpoint, Union[InternalEdge, HalfEdge]] = {}
+        internal_at: Dict[str, List[InternalEdge]] = {v: [] for v in verts}
+        half_at: Dict[str, List[HalfEdge]] = {v: [] for v in verts}
 
-        def bind(end: Endpoint, edge_id: str, alphabet: AnyAlphabet) -> None:
+        def bind(end: Endpoint, edge: Union[InternalEdge, HalfEdge]) -> None:
             v, axis = end
             if v not in verts:
-                raise ValueError(f"edge {edge_id!r} references unknown vertex {v!r}")
+                raise ValueError(f"edge {edge.id!r} references unknown vertex {v!r}")
             factor = verts[v]
             if axis not in factor.labels:
-                raise ValueError(f"edge {edge_id!r} binds unknown axis {axis!r} of vertex {v!r}")
+                raise ValueError(f"edge {edge.id!r} binds unknown axis {axis!r} of vertex {v!r}")
             if end in bound:
                 raise ValueError(
-                    f"axis {axis!r} of vertex {v!r} bound by both {bound[end]!r} and {edge_id!r}")
-            if factor.alphabet(axis) != alphabet:
+                    f"axis {axis!r} of vertex {v!r} bound by both {bound[end].id!r} and {edge.id!r}")
+            if factor.alphabet(axis) != edge.alphabet:
                 raise ValueError(
-                    f"edge {edge_id!r}: alphabet mismatch on axis {axis!r} of vertex {v!r}")
-            bound[end] = edge_id
+                    f"edge {edge.id!r}: alphabet mismatch on axis {axis!r} of vertex {v!r}")
+            bound[end] = edge
 
         for e in internal:
             if len(e.ends) != 2:
                 raise ValueError(f"internal edge {e.id!r} must have exactly two endpoints")
-            bind(e.ends[0], e.id, e.alphabet)
-            bind(e.ends[1], e.id, e.alphabet)
+            bind(e.ends[0], e)
+            bind(e.ends[1], e)
+            internal_at[e.ends[0][0]].append(e)
+            if not e.is_loop():
+                internal_at[e.ends[1][0]].append(e)
         for h in half:
-            bind(h.end, h.id, h.alphabet)
+            bind(h.end, h)
+            half_at[h.end[0]].append(h)
 
         for v, factor in verts.items():
             for axis in factor.labels:
@@ -115,6 +126,11 @@ class NfgGraph:
         object.__setattr__(self, "internal_edges", internal)
         object.__setattr__(self, "half_edges", half)
         object.__setattr__(self, "_bound", bound)
+        object.__setattr__(self, "_internal_at", internal_at)
+        object.__setattr__(self, "_half_at", half_at)
+        object.__setattr__(self, "_internal_by_id", internal_by_id)
+        object.__setattr__(self, "_half_by_id", half_by_id)
+        object.__setattr__(self, "_half_by_var", half_by_var)
 
     def __setattr__(self, name, value):
         raise AttributeError("NfgGraph is immutable")
@@ -132,55 +148,46 @@ class NfgGraph:
         return self.vertices[vertex].ndim
 
     def internal_edge(self, edge_id: str) -> InternalEdge:
-        for e in self.internal_edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"unknown internal edge {edge_id!r}")
+        return _lookup(self._internal_by_id, edge_id, "internal edge")
 
     def half_edge(self, edge_id: str) -> HalfEdge:
-        for h in self.half_edges:
-            if h.id == edge_id:
-                return h
-        raise KeyError(f"unknown half edge {edge_id!r}")
+        return _lookup(self._half_by_id, edge_id, "half edge")
 
     def half_edge_for_var(self, var: str) -> HalfEdge:
-        for h in self.half_edges:
-            if h.var == var:
-                return h
-        raise KeyError(f"unknown external variable {var!r}")
+        return _lookup(self._half_by_var, var, "external variable")
+
+    def edge_at(self, vertex: str, axis: str) -> Union[InternalEdge, HalfEdge]:
+        """The edge (internal or half) that binds ``axis`` of ``vertex``."""
+        return _lookup(self._bound, (vertex, axis), "endpoint")
 
     @property
     def external_vars(self) -> Tuple[str, ...]:
         return tuple(h.var for h in self.half_edges)
 
     def internal_at(self, vertex: str) -> List[InternalEdge]:
-        return [e for e in self.internal_edges
-                if e.ends[0][0] == vertex or e.ends[1][0] == vertex]
+        return list(self._internal_at.get(vertex, ()))
 
     def half_at(self, vertex: str) -> List[HalfEdge]:
-        return [h for h in self.half_edges if h.end[0] == vertex]
+        return list(self._half_at.get(vertex, ()))
 
     def neighbors(self, vertex: str) -> List[str]:
         out = []
-        for e in self.internal_at(vertex):
-            for v, _ in e.ends:
-                if v != vertex and v not in out:
-                    out.append(v)
+        for e in self._internal_at.get(vertex, ()):
+            w = e.other_end(vertex)[0]
+            if w != vertex and w not in out:
+                out.append(w)
         return out
 
     def edges_between(self, u: str, v: str) -> List[InternalEdge]:
-        return [e for e in self.internal_edges
+        return [e for e in self._internal_at.get(u, ())
                 if {e.ends[0][0], e.ends[1][0]} == {u, v}]
 
     def fresh_id(self, prefix: str) -> str:
-        used = set(self.vertices) | {e.id for e in self.internal_edges} \
-            | {h.id for h in self.half_edges}
-        if prefix not in used:
-            return prefix
-        k = 1
-        while f"{prefix}.{k}" in used:
+        name, k = prefix, 0
+        while name in self.vertices or name in self._internal_by_id or name in self._half_by_id:
             k += 1
-        return f"{prefix}.{k}"
+            name = f"{prefix}.{k}"
+        return name
 
     def components(self) -> List[List[str]]:
         seen: set[str] = set()
@@ -262,11 +269,11 @@ class NfgGraph:
         )
 
 
-def validate(vertices: Mapping[str, Factor],
-             internal_edges: Sequence[InternalEdge] = (),
-             half_edges: Sequence[HalfEdge] = ()) -> NfgGraph:
-    """Check a graph description and return the validated graph."""
-    return NfgGraph(vertices, internal_edges, half_edges)
+def _lookup(table: Mapping, key, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise KeyError(f"unknown {what} {key!r}") from None
 
 
 @dataclass(frozen=True)

@@ -206,14 +206,15 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
         for w in absorb[v]:
             work = merge_vertices(work, v, w)
 
-    # restore the subdivided edges' original ids
+    # restore the subdivided edges' original ids and the half-edge order
     internal = []
     for e in work.internal_edges:
         if e.id in mid_edge_of:
             internal.append(InternalEdge(mid_edge_of[e.id], e.ends, e.alphabet))
         else:
             internal.append(e)
-    return work.replace(internal_edges=internal)
+    return work.replace(internal_edges=internal,
+                        half_edges=[work.half_edge_for_var(h.var) for h in g.half_edges])
 
 
 def split_vertex_guided(g: NfgGraph, vertex: str, replacement: NfgGraph,

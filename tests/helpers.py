@@ -48,22 +48,22 @@ def mesh_graph(rng, positive=False):
 
 
 def random_nfg(rng, max_vertices=6, max_internal=8, max_alpha=4, max_half=3,
-               integer=False, positive=False):
-    """A random NFG: possibly disconnected, parallel edges allowed."""
+               integer=False, positive=False, loops=False):
+    """A random NFG: possibly disconnected, parallel edges (and loops) allowed."""
     n_v = int(rng.integers(2, max_vertices + 1))
     vids = [f"v{i}" for i in range(n_v)]
     axes_of = {v: [] for v in vids}
     internal = []
     n_e = int(rng.integers(1, max_internal + 1))
     for k in range(n_e):
-        u, v = rng.choice(n_v, size=2, replace=False)
+        u, v = rng.choice(n_v, size=2, replace=loops)
         u, v = vids[u], vids[v]
         alpha = Alphabet(int(rng.integers(2, max_alpha + 1)))
-        eid = f"e{k}"
-        axes_of[u].append((f"a{len(axes_of[u])}", alpha))
-        axes_of[v].append((f"a{len(axes_of[v])}", alpha))
-        internal.append(InternalEdge(
-            eid, ((u, axes_of[u][-1][0]), (v, axes_of[v][-1][0])), alpha))
+        ends = []
+        for w in (u, v):
+            ends.append((w, f"a{len(axes_of[w])}"))
+            axes_of[w].append((ends[-1][1], alpha))
+        internal.append(InternalEdge(f"e{k}", tuple(ends), alpha))
     half = []
     n_h = int(rng.integers(0, max_half + 1))
     for k in range(n_h):
@@ -187,3 +187,43 @@ def broadcast_joint(g):
             shape[p] = sizes[p]
         table = table * slab.reshape(shape)
     return ids, sizes, table
+
+
+# -- linear-scan oracles for the NfgGraph incidence index ---------------------------
+
+
+def scan_edge_at(g, vertex, axis):
+    for e in g.internal_edges:
+        if (vertex, axis) in e.ends:
+            return e
+    return next(h for h in g.half_edges if h.end == (vertex, axis))
+
+
+def scan_internal_at(g, vertex):
+    return [e for e in g.internal_edges if vertex in (e.ends[0][0], e.ends[1][0])]
+
+
+def scan_half_at(g, vertex):
+    return [h for h in g.half_edges if h.end[0] == vertex]
+
+
+def scan_neighbors(g, vertex):
+    out = []
+    for e in scan_internal_at(g, vertex):
+        for v, _ in e.ends:
+            if v != vertex and v not in out:
+                out.append(v)
+    return out
+
+
+def scan_edges_between(g, u, v):
+    return [e for e in g.internal_edges if {e.ends[0][0], e.ends[1][0]} == {u, v}]
+
+
+def scan_fresh_id(g, prefix):
+    used = set(g.vertices) | {e.id for e in g.internal_edges} | {h.id for h in g.half_edges}
+    candidate, k = prefix, 0
+    while candidate in used:
+        k += 1
+        candidate = f"{prefix}.{k}"
+    return candidate

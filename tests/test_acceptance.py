@@ -33,7 +33,6 @@ from nfgraph.models import (
     cfg_global_function,
     cfg_to_nfg,
     check_cdf_axioms,
-    cdn_global_function,
     fg_global_function,
     fg_to_nfg,
     nfg_to_cfg,
@@ -448,7 +447,7 @@ def test_criterion_7_conversions():
         for _, f, _ in desc.functions:
             assert check_cdf_axioms(f) == []
         za = exterior_bruteforce(cdn_model)
-        zb = cdn_global_function(desc).transpose(za.labels)
+        zb = fg_global_function(desc).transpose(za.labels)
         err = _rel_err(za.values, zb.values)
         worst = max(worst, err)
         assert err <= 1e-9

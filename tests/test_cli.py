@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -225,6 +226,20 @@ def test_codes_list_and_dual(capsys):
     assert payload["weight_distribution"] == [1, 0, 0, 0, 7, 0, 0, 0]
 
 
+def test_codes_dual_keeps_coordinate_order_past_ten(capsys, tmp_path):
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1),
+            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
+    path = tmp_path / "code_11_3.txt"
+    path.write_text("2 11 3\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    code, out, _ = run_cli(capsys, "codes", "dual", str(path), "--form", "generator")
+    assert code == 0
+    primal = {tuple(sum(r[j] * m[j] for j in range(3)) % 2 for r in rows)
+              for m in itertools.product(range(2), repeat=3)}
+    complement = [list(y) for y in itertools.product(range(2), repeat=11)
+                  if all(sum(a * b for a, b in zip(y, c)) % 2 == 0 for c in primal)]
+    assert json.loads(out)["codewords"] == complement
+
+
 def test_codes_parity_document(capsys):
     code, out, _ = run_cli(capsys, "codes", "parity",
                            str(GRAPHS / "hamming_parity.txt"))
@@ -298,6 +313,11 @@ def test_exit_64_on_usage_error(capsys):
     assert code == 64
     code, out, err = run_cli(capsys, "exterior")
     assert code == 64
+    for count in ("0", "-3"):
+        code, out, err = run_cli(capsys, "sample", str(GRAPHS / "indep_chain_generative.json"),
+                                 "--seed", "7", "--count", count)
+        assert (code, out) == (64, "")
+        assert "positive integer" in err
 
 
 def test_console_entry_point():

@@ -118,6 +118,21 @@ def test_hamming_dual_is_simplex():
     assert len(words) * len(primal) == 2 ** 7
 
 
+# an [11,3] binary code: external names y0..y10 do not sort in coordinate order
+ELEVEN_THREE = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1),
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+)
+
+
+def test_dual_keeps_coordinate_order_past_ten():
+    g = generator_realization(LinearCodeSpec(p=2, n=11, k=3, matrix=ELEVEN_THREE))
+    dual = dual_via_fourier(g)
+    assert dual.external_vars == g.external_vars
+    words, _ = codewords(dual)
+    assert words == _dual_words(_span(ELEVEN_THREE, 2), 2, 11)
+
+
 def test_dual_of_repetition():
     spec = LinearCodeSpec(p=2, n=3, k=1, matrix=((1,), (1,), (1,)))
     dual = dual_via_fourier(generator_realization(spec))

@@ -12,7 +12,6 @@ from nfgraph.models import (
     CdnDesc,
     CfgDesc,
     FactorGraphDesc,
-    cdn_global_function,
     cfg_global_function,
     cfg_to_nfg,
     check_cdf_axioms,
@@ -283,12 +282,12 @@ def test_to_cdn_equivalence():
     desc = to_cdn(g)
     assert isinstance(desc, CdnDesc)
     z = exterior_bruteforce(g)
-    expected = cdn_global_function(desc)
+    expected = fg_global_function(desc)
     assert factors_allclose(z, expected, tol=1e-9)
     # all produced local functions pass the CDF axioms
     for _, f, _ in desc.functions:
         assert check_cdf_axioms(f) == []
-    top = cdn_global_function(desc).values[tuple(-1 for _ in desc.variables)]
+    top = fg_global_function(desc).values[tuple(-1 for _ in desc.variables)]
     assert top == pytest.approx(1.0)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfgraph.algebra import Alphabet, GroupAlphabet, make_product_domain
-from nfgraph.factor import Factor
+from nfgraph.exterior import eliminate, exterior_bruteforce
+from nfgraph.factor import Factor, factors_allclose
 from nfgraph.indicators import make_indicator
 from nfgraph.nfg import (
     HalfEdge,
@@ -10,11 +12,19 @@ from nfgraph.nfg import (
     NfgGraph,
     classify,
     separated,
-    validate,
     wrap_half_edge_with_equality,
 )
 
-from helpers import mesh_graph, rand_factor
+from helpers import (
+    mesh_graph,
+    rand_factor,
+    scan_edge_at,
+    scan_edges_between,
+    scan_fresh_id,
+    scan_half_at,
+    scan_internal_at,
+    scan_neighbors,
+)
 
 
 def test_mesh_graph_validates():
@@ -251,3 +261,58 @@ def test_extended_generative_without_generative():
     flags = classify(g)
     assert flags.extended_generative
     assert not flags.generative
+
+
+@st.composite
+def multigraphs(draw):
+    """Random NFGs with loops, parallel edges, isolated vertices and several components."""
+    n_v = draw(st.integers(1, 5))
+    vertex = st.integers(0, n_v - 1)
+    size = st.integers(2, 3)
+    edges = draw(st.lists(st.tuples(vertex, vertex, size), max_size=6))
+    halves = draw(st.lists(st.tuples(vertex, size), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vids = [f"v{i}" for i in range(n_v)]
+    axes = {v: [] for v in vids}
+
+    def endpoint(i, alpha):
+        v = vids[i]
+        axes[v].append((f"a{len(axes[v])}", alpha))
+        return (v, axes[v][-1][0])
+
+    internal = []
+    for k, (i, j, m) in enumerate(edges):
+        alpha = Alphabet(m)
+        internal.append(InternalEdge(f"e{k}", (endpoint(i, alpha), endpoint(j, alpha)), alpha))
+    half = [HalfEdge(f"h{k}", endpoint(i, Alphabet(m)), Alphabet(m), f"x{k}")
+            for k, (i, m) in enumerate(halves)]
+    vertices = {v: rand_factor(rng, [l for l, _ in axes[v]], [a for _, a in axes[v]])
+                for v in vids}
+    return NfgGraph(vertices, internal, half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_index_matches_linear_scans(g):
+    probes = list(g.vertex_ids) + ["nowhere"]
+    for v in probes:
+        assert g.internal_at(v) == scan_internal_at(g, v)
+        assert g.half_at(v) == scan_half_at(g, v)
+        assert g.neighbors(v) == scan_neighbors(g, v)
+        for w in probes:
+            assert g.edges_between(v, w) == scan_edges_between(g, v, w)
+    for v, f in g.vertices.items():
+        for axis in f.labels:
+            assert g.edge_at(v, axis) is scan_edge_at(g, v, axis)
+    with pytest.raises(KeyError):
+        g.edge_at("nowhere", "a0")
+    for e in g.internal_edges:
+        assert g.internal_edge(e.id) is e
+    for h in g.half_edges:
+        assert g.half_edge(h.id) is h
+        assert g.half_edge_for_var(h.var) is h
+        with pytest.raises(KeyError):
+            g.internal_edge(h.id)
+    for prefix in ("v0", "e0", "h0", "x0", "fresh"):
+        assert g.fresh_id(prefix) == scan_fresh_id(g, prefix)
+    assert factors_allclose(eliminate(g).result, exterior_bruteforce(g))
