@@ -98,8 +98,8 @@ class NfgGraph:
             if axis not in factor.labels:
                 raise ValueError(f"edge {edge.id!r} binds unknown axis {axis!r} of vertex {v!r}")
             if end in bound:
-                raise ValueError(
-                    f"axis {axis!r} of vertex {v!r} bound by both {bound[end].id!r} and {edge.id!r}")
+                raise ValueError(f"axis {axis!r} of vertex {v!r} bound by both "
+                                 f"{bound[end].id!r} and {edge.id!r}")
             if factor.alphabet(axis) != edge.alphabet:
                 raise ValueError(
                     f"edge {edge.id!r}: alphabet mismatch on axis {axis!r} of vertex {v!r}")
