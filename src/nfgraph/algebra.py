@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -204,42 +204,40 @@ class ProductDomain:
     """An ordered list of (label, alphabet) axes with row-major linear indexing.
 
     The last axis varies fastest.  Axis labels are unique within a domain.
+    ``labels``, ``shape``, ``size`` and ``positions`` (label -> axis
+    position, not to be mutated) are derived from ``axes`` once, at
+    construction; equality, hashing and repr depend on ``axes`` alone.
     """
 
     axes: Tuple[Tuple[str, AnyAlphabet], ...] = field(default_factory=tuple)
+    labels: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    shape: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    positions: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple((str(l), a) for l, a in self.axes))
-        labels = [l for l, _ in self.axes]
-        if len(set(labels)) != len(labels):
+        labels = tuple([str(l) for l, _ in self.axes])
+        alphabets = [a for _, a in self.axes]
+        position = dict(zip(labels, range(len(labels))))
+        if len(position) != len(labels):
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise ValueError(f"duplicate axis label(s): {dup}")
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(l for l, _ in self.axes)
-
-    @property
-    def alphabets(self) -> Tuple[AnyAlphabet, ...]:
-        return tuple(a for _, a in self.axes)
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(a.size for _, a in self.axes)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
+        shape = tuple([a.size for a in alphabets])
+        object.__setattr__(self, "axes", tuple(zip(labels, alphabets)))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "size", math.prod(shape))
+        object.__setattr__(self, "positions", position)
 
     @property
     def ndim(self) -> int:
         return len(self.axes)
 
     def axis_index(self, label: str) -> int:
-        for i, (l, _) in enumerate(self.axes):
-            if l == label:
-                return i
-        raise KeyError(f"unknown axis label {label!r}")
+        try:
+            return self.positions[label]
+        except KeyError:
+            raise KeyError(f"unknown axis label {label!r}") from None
 
     def alphabet(self, label: str) -> AnyAlphabet:
         return self.axes[self.axis_index(label)][1]

@@ -9,6 +9,7 @@ edges, and axes ordered by id so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -275,7 +276,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use; parsing never changes it."""
     p = _Parser(prog="nfgraph",
                 description="normal factor graphs: evaluation, transformation, "
                             "conversion, codes, inference, sampling")

@@ -9,6 +9,7 @@ trees, with low-complexity shortcuts for tagged equality/sum/max vertices.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .indicators import make_indicator
 from .nfg import HalfEdge, InternalEdge, NfgGraph, classify
 
 __all__ = [
-    "BruteForceSizeError",
+    "TableSizeError",
     "EliminationStep",
     "EliminationReport",
     "EdgeMarginals",
@@ -33,25 +34,31 @@ __all__ = [
     "derivative_sum_product",
 ]
 
-BRUTE_FORCE_STATE_CAP = 2 ** 24
+STATE_CAP = 2 ** 24
 
 
-class BruteForceSizeError(ValueError):
+class TableSizeError(ValueError):
+    """A table (or enumerated state space) would have more than ``cap`` entries."""
+
     def __init__(self, states: int, cap: int):
         super().__init__(f"state space of size {states} exceeds the cap {cap}")
         self.states = states
         self.cap = cap
 
 
-def exterior_bruteforce(g: NfgGraph, cap: int = BRUTE_FORCE_STATE_CAP) -> Factor:
+def _check_size(states: int, cap: int = STATE_CAP) -> None:
+    if states > cap:
+        raise TableSizeError(states, cap)
+
+
+def exterior_bruteforce(g: NfgGraph, cap: int = STATE_CAP) -> Factor:
     """Exterior function by exhaustive enumeration over internal-edge assignments."""
     states = 1
     for e in g.internal_edges:
         states *= e.alphabet.size
     for h in g.half_edges:
         states *= h.alphabet.size
-    if states > cap:
-        raise BruteForceSizeError(states, cap)
+    _check_size(states, cap)
 
     out_axes = [(h.var, h.alphabet) for h in g.half_edges]
     out_shape = tuple(a.size for _, a in out_axes)
@@ -171,6 +178,8 @@ class _WorkGraph:
         if not shared:
             raise ValueError(f"vertices {u!r} and {v!r} are not adjacent")
         ops = self.pair_cost(u, v)
+        # the merged table keeps every label of the pair but the shared ones
+        _check_size(ops // math.prod(self.factors[u].alphabet(l).size for l in shared))
         fv = self.factors.pop(v)
         self.factors[u] = contract([self.factors[u], fv])
         for label in fv.labels:
@@ -229,7 +238,9 @@ def eliminate(g: NfgGraph,
     ``order`` of ``(u, v)`` pairs (the merged vertex keeps the first id) or
     ``("block", center)`` entries.  With ``use_kernels``, a block step whose
     center is a tagged equality/sum/max indicator with univariate neighbors is
-    computed by the chain shortcut and counted by its closed form.
+    computed by the chain shortcut and counted by its closed form.  A merge
+    whose table would have more than ``STATE_CAP`` entries raises
+    :class:`TableSizeError` before it allocates.
     """
     work = _WorkGraph(g)
 
@@ -247,19 +258,24 @@ def eliminate(g: NfgGraph,
         if any(work.neighbors(v) for v in work.factors):
             raise ValueError("given order does not fully eliminate the graph")
     elif strategy == "min-cost-greedy":
-        while True:
-            best = None
-            for u in sorted(work.factors):
-                for v in work.neighbors(u):
-                    if v <= u:
-                        continue
-                    cost = work.pair_cost(u, v)
-                    key = (cost, u, v)
-                    if best is None or key < best:
-                        best = key
-            if best is None:
-                break
-            work.merge(best[1], best[2])
+        # Merge the adjacent pair with the least (cost, u, v), u < v.  A merge
+        # changes only the pairs of the merged vertex, so those are pushed
+        # again with its new merge count; a popped entry whose counts are out
+        # of date (or whose vertex is gone) is skipped.
+        merges = dict.fromkeys(work.factors, 0)
+        heap = [(work.pair_cost(u, v), u, v, 0, 0)
+                for u in work.factors for v in work.neighbors(u) if u < v]
+        heapq.heapify(heap)
+        while heap:
+            _, u, v, mu, mv = heapq.heappop(heap)
+            if merges.get(u) != mu or merges.get(v) != mv:
+                continue
+            work.merge(u, v)
+            del merges[v]
+            merges[u] = mu = mu + 1
+            for w in work.neighbors(u):
+                pair = (u, w, mu, merges[w]) if u < w else (w, u, merges[w], mu)
+                heapq.heappush(heap, (work.pair_cost(u, w),) + pair)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -269,6 +285,7 @@ def eliminate(g: NfgGraph,
         combined = remaining[0]
         ids = list(work.factors)
         for k, nxt in enumerate(remaining[1:], start=1):
+            _check_size(combined.domain.size * nxt.domain.size)
             combined = contract([combined, nxt])
             work.steps.append(EliminationStep((ids[0], ids[k]), (),
                                               int(np.prod(combined.domain.shape, dtype=np.int64))))

@@ -9,6 +9,7 @@ of the inputs never change the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -147,7 +148,10 @@ def contract(factors: Sequence[Factor]) -> Factor:
     """Sum-of-products of the inputs.
 
     Labels shared by two inputs are summed over; labels appearing once survive
-    in first-appearance order.
+    in first-appearance order.  The values are bit-identical to
+    ``np.einsum(..., optimize=True)`` on the same tables under numpy releases
+    whose einsum contracts a pair through ``matmul`` (``bmm_einsum``, as in
+    numpy 2.4); under older ones a pair may differ in the last bit.
     """
     factors = list(factors)
     if not factors:
@@ -159,16 +163,60 @@ def contract(factors: Sequence[Factor]) -> Factor:
             if label in surviving and label not in out_labels:
                 out_labels.append(label)
 
-    ids: dict[str, int] = {}
-    operands = []
-    for f in factors:
-        subscript = [ids.setdefault(l, len(ids)) for l in f.labels]
-        operands.extend([f.values, subscript])
-    operands.append([ids[l] for l in out_labels])
-    values = np.einsum(*operands, optimize=True)
+    if len(factors) == 1:
+        values = factors[0].values
+    elif len(factors) == 2:
+        values = _contract_pair(factors[1], factors[0])
+    else:
+        # numpy's greedy pairing order decides the bits; keep it
+        ids: dict[str, int] = {}
+        operands = []
+        for f in factors:
+            subscript = [ids.setdefault(l, len(ids)) for l in f.labels]
+            operands.extend([f.values, subscript])
+        operands.append([ids[l] for l in out_labels])
+        values = np.einsum(*operands, optimize=True)
 
     axes = tuple((l, surviving[l]) for l in out_labels)
     return Factor(make_product_domain(axes), values)
+
+
+def _contract_pair(a: Factor, b: Factor) -> np.ndarray:
+    """The steps numpy's ``bmm_einsum`` takes for a pair, without path search.
+
+    numpy contracts the pair in reverse input order, so ``a`` is the second
+    factor of the call and the left operand here.  The result has ``b``'s
+    surviving axes, then ``a``'s.  Each table is transposed to (kept, summed)
+    or (summed, kept), fused to a matrix and multiplied with one ``matmul``;
+    with nothing of size > 1 to sum, the tables broadcast through ``multiply``
+    instead, which keeps signed zeros.  Where numpy drops size-1 axes it does
+    so with a summing copy, which turns -0.0 into 0.0 and sets the memory
+    order later steps see; ``+ 0.0`` repeats both.
+    """
+    pos_a, pos_b = a.domain.positions, b.domain.positions
+    summed = [l for l in a.labels if l in pos_b]
+    keep_a = [l for l in a.labels if l not in pos_b]
+    keep_b = [l for l in b.labels if l not in pos_a]
+    shape_a, shape_b = a.domain.shape, b.domain.shape
+    dims_a = [shape_a[pos_a[l]] for l in keep_a]
+    dims_b = [shape_b[pos_b[l]] for l in keep_b]
+    k = math.prod(shape_a[pos_a[l]] for l in summed)
+    va = a.values.transpose([pos_a[l] for l in keep_a + summed])
+    vb = b.values.transpose([pos_b[l] for l in summed + keep_b])
+    if k == 1:
+        if summed:
+            va, vb = va + 0.0, vb + 0.0
+        return np.multiply(va.reshape([1] * len(dims_b) + dims_a),
+                           vb.reshape(dims_b + [1] * len(dims_a)))
+    if 1 in shape_a:
+        va = va + 0.0
+    if 1 in shape_b:
+        vb = vb + 0.0
+    ab = np.matmul(va.reshape(math.prod(dims_a), k), vb.reshape(k, math.prod(dims_b)))
+    ab = ab.reshape(dims_a + dims_b)
+    if dims_a and dims_b:
+        ab = ab.transpose(list(range(len(dims_a), ab.ndim)) + list(range(len(dims_a))))
+    return ab
 
 
 def multiply_pointwise(a: Factor, b: Factor) -> Factor:

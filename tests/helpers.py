@@ -79,9 +79,9 @@ def random_nfg(rng, max_vertices=6, max_internal=8, max_alpha=4, max_half=3,
     return NfgGraph(vertices, internal, half)
 
 
-def random_tree(rng, max_vertices=10, max_alpha=4, closed=True, max_half=3):
+def random_tree(rng, max_vertices=10, max_alpha=4, closed=True, max_half=3, min_vertices=2):
     """A random connected tree NFG."""
-    n_v = int(rng.integers(2, max_vertices + 1))
+    n_v = int(rng.integers(min_vertices, max_vertices + 1))
     vids = [f"v{i}" for i in range(n_v)]
     axes_of = {v: [] for v in vids}
     internal = []
@@ -105,6 +105,32 @@ def random_tree(rng, max_vertices=10, max_alpha=4, closed=True, max_half=3):
         labels = [l for l, _ in axes_of[v]]
         alphas = [a for _, a in axes_of[v]]
         vertices[v] = rand_factor(rng, labels, alphas)
+    return NfgGraph(vertices, internal, half)
+
+
+def grid_nfg(rng, rows, cols, alpha=Alphabet(2)):
+    """A rows x cols grid of random factors over one alphabet, half edges at two corners.
+
+    Vertex ids are unpadded (``v0_10`` sorts before ``v0_2``), so greedy
+    tie-breaks see string order, not grid order.  A 1 x n grid is a chain.
+    """
+    vid = [[f"v{r}_{c}" for c in range(cols)] for r in range(rows)]
+    axes_of = {v: [] for row in vid for v in row}
+    internal = []
+    pairs = [(vid[r][c], vid[r][c + 1]) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(vid[r][c], vid[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
+    for k, (u, v) in enumerate(pairs):
+        ends = []
+        for w in (u, v):
+            ends.append((w, f"a{len(axes_of[w])}"))
+            axes_of[w].append(ends[-1][1])
+        internal.append(InternalEdge(f"e{k}", tuple(ends), alpha))
+    half = []
+    for k, v in enumerate((vid[0][0], vid[-1][-1])):
+        axes_of[v].append(f"a{len(axes_of[v])}")
+        half.append(HalfEdge(f"h{k}", (v, axes_of[v][-1]), alpha, f"x{k}"))
+    vertices = {v: rand_factor(rng, labels, [alpha] * len(labels))
+                for v, labels in axes_of.items()}
     return NfgGraph(vertices, internal, half)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from nfgraph.algebra import (
     GroupAlphabet,
     OrderedAlphabet,
     OrderedProductAlphabet,
+    ProductDomain,
     character,
     character_table,
     dual_kernel_table,
@@ -32,6 +34,20 @@ def test_domain_sizes():
 def test_duplicate_label_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         make_product_domain([("x", Alphabet(2)), ("x", Alphabet(2))])
+
+
+def test_domain_equality_and_hash_depend_on_axes_alone():
+    axes = [("x", Alphabet(2)), ("y", GroupAlphabet((3,)))]
+    a = make_product_domain(axes)
+    b = ProductDomain(tuple(axes))
+    assert (a.labels, a.shape, a.size, a.axis_index("y")) == (("x", "y"), (2, 3), 6, 1)
+    assert [f.name for f in dataclasses.fields(ProductDomain) if f.compare] == ["axes"]
+    object.__setattr__(b, "labels", ("stale",))
+    object.__setattr__(b, "size", 0)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert make_product_domain(axes[::-1]) != a
+    with pytest.raises(KeyError, match="unknown axis label 'z'"):
+        a.axis_index("z")
 
 
 def test_row_major_last_axis_fastest():

@@ -320,6 +320,37 @@ def test_exit_64_on_usage_error(capsys):
         assert "positive integer" in err
 
 
+def test_reused_parser_carries_no_values_across_calls(capsys):
+    path = str(GRAPHS / "inference_triangle.json")
+    code, from_document, _ = run_cli(capsys, "infer", path)
+    assert code == 0
+    code, flagged, _ = run_cli(capsys, "infer", path, "--target", "x3",
+                               "--evidence", "x1=0", "--evidence", "x2=1")
+    assert code == 0
+    assert json.loads(flagged)["targets"] == ["x3"]
+    # no --target/--evidence values left over: the document's query runs again
+    assert run_cli(capsys, "infer", path) == (0, from_document, "")
+    code, twice, _ = run_cli(capsys, "infer", path, "--target", "x3", "--evidence", "x1=0",
+                             "--evidence", "x2=1")
+    assert (code, twice) == (0, flagged)
+    assert run_cli(capsys, "exterior")[0] == 64
+    assert run_cli(capsys, "infer", path, "--evidence", "x2")[0] == 64
+    assert run_cli(capsys, "infer", path) == (0, from_document, "")
+
+
+def test_exit_2_when_an_elimination_table_exceeds_the_cap(capsys, tmp_path):
+    # a dense [15,7] binary generator matrix: greedy elimination would build a
+    # 2^25-entry intermediate for a 2^15-entry exterior
+    rows = ["1000010", "0011110", "1010010", "1001011", "1001111", "1000000", "1111111",
+            "0110011", "1000100", "1110111", "0011110", "1000101", "0100011", "0110000",
+            "1011100"]
+    path = tmp_path / "dense.txt"
+    path.write_text("2 15 7\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+    code, out, err = run_cli(capsys, "codes", "list", str(path))
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 16777216" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nfgraph.cli", "classify",

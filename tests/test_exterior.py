@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from nfgraph.algebra import Alphabet, GroupAlphabet, OrderedAlphabet, make_produ
 from nfgraph.factor import Factor, OpCounter, factors_allclose
 from nfgraph.indicators import make_indicator
 from nfgraph.nfg import HalfEdge, InternalEdge, NfgGraph
+from nfgraph.codes import LinearCodeSpec, parity_realization
 from nfgraph.exterior import (
-    BruteForceSizeError,
+    TableSizeError,
     block_order,
     derivative_sum_product,
     eliminate,
@@ -74,9 +77,50 @@ def test_closed_constant_one_counts_assignments():
 def test_bruteforce_cap_refuses():
     rng = np.random.default_rng(2)
     g = mesh_graph(rng)
-    with pytest.raises(BruteForceSizeError) as err:
+    with pytest.raises(TableSizeError) as err:
         exterior_bruteforce(g, cap=16)
     assert err.value.states == 2 ** 7
+
+
+def _wide_pair(shared):
+    """Two vertices with 13 binary half edges each, joined by one edge or by none."""
+    b = Alphabet(2)
+    vertices, half = {}, []
+    for v in ("u", "w"):
+        axes = [f"h{k}" for k in range(13)] + (["s"] if shared else [])
+        vertices[v] = Factor(make_product_domain([(a, b) for a in axes]),
+                             np.ones((2,) * len(axes)))
+        half += [HalfEdge(f"{v}{a}", (v, a), b, f"{v}_{a}") for a in axes if a != "s"]
+    internal = [InternalEdge("s", (("u", "s"), ("w", "s")), b)] if shared else []
+    return NfgGraph(vertices, internal, half)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["merge", "components"])
+def test_eliminate_refuses_an_oversized_table_before_allocating(shared):
+    g = _wide_pair(shared)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableSizeError) as err:
+            eliminate(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.states, err.value.cap) == (2 ** 26, 2 ** 24)
+    assert peak < 2 ** 24  # the refused table alone would take 1 GiB
+
+
+def test_eliminate_refuses_oversized_code_intermediate_quickly():
+    # greedy elimination of this [10,5] parity realization over Z_3 reaches
+    # for a 3^18-entry table although the exterior has 3^10 entries
+    h = [[2, 1, 1, 0, 0, 0, 0, 0, 0, 2], [1, 2, 1, 1, 2, 2, 1, 1, 1, 2],
+         [0, 2, 2, 0, 1, 2, 1, 0, 2, 2], [2, 0, 0, 2, 0, 1, 0, 0, 1, 1],
+         [1, 0, 0, 0, 0, 2, 1, 1, 0, 1]]
+    g = parity_realization(LinearCodeSpec(p=3, n=10, k=5, matrix=h, form="parity"))
+    start = time.process_time()
+    with pytest.raises(TableSizeError) as err:
+        eliminate(g)
+    assert time.process_time() - start < 1.0
+    assert err.value.states == 3 ** 18
 
 
 def test_eliminate_triangle_given_order():

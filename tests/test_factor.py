@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nfgraph.algebra import Alphabet, GroupAlphabet, make_product_domain
 from nfgraph.factor import (
@@ -125,6 +127,82 @@ def test_contract_matches_naive_and_is_order_invariant(seed):
         grouped = contract([partial] + [factors[i] for i in perm[2:]])
         grouped = grouped.transpose(got.labels)
         assert np.max(np.abs(grouped.values - got.values)) <= 1e-9 * scale
+
+
+try:
+    from numpy._core.einsumfunc import bmm_einsum  # noqa: F401
+    _PAIRS_BY_MATMUL = True
+except ImportError:
+    _PAIRS_BY_MATMUL = False
+
+# real and imaginary parts per table: mostly signed zeros, whose signs a sum
+# can keep or lose, or mostly normal draws (None), whose products round, so a
+# change in summation order shows
+_PARTS = (st.sampled_from([0.0, -0.0, -0.0, 1.0, -1.0]),
+          st.sampled_from([0.0, -0.0, None, None, None]))
+
+
+@st.composite
+def _factor_lists(draw):
+    """1-4 factors whose labels each sit on one or two of them, sizes 1-3.
+
+    Tables are stored in a drawn memory order, as transposed contraction
+    results are.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), max_size=6))
+    labels_of = [[] for _ in range(n)]
+    for k in range(len(sizes)):
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(2, n),
+                               unique=True)):
+            labels_of[i].append(k)
+    factors = []
+    for ks in labels_of:
+        ks = draw(st.permutations(ks))
+        shape = tuple(sizes[k] for k in ks)
+        count = math.prod(shape)
+        parts = [rng.standard_normal() if x is None else x
+                 for x in draw(st.lists(_PARTS[draw(st.integers(0, 1))], min_size=2 * count,
+                                        max_size=2 * count))]
+        values = np.empty(count, dtype=np.complex128)
+        values.real, values.imag = parts[::2], parts[1::2]
+        order = draw(st.permutations(range(len(shape))))
+        values = values.reshape(shape).transpose(order).copy()
+        values = values.transpose(np.argsort(order))
+        dom = make_product_domain([(f"l{k}", Alphabet(sizes[k])) for k in ks])
+        factors.append(Factor(dom, values))
+    return factors
+
+
+def _table(axes, values):
+    return Factor(make_product_domain([(l, Alphabet(n)) for l, n in axes]), values)
+
+
+@pytest.mark.skipif(not _PAIRS_BY_MATMUL,
+                    reason="this numpy's einsum does not contract pairs through matmul")
+@settings(max_examples=400, deadline=None)
+@given(_factor_lists())
+# numpy drops the size-1 axes with a summing copy before its matmul ...
+@example([_table([("s", 2), ("q", 2)], [[-0.0, 1], [-0.0, 1]]),
+          _table([("p", 2), ("s", 2), ("o", 1)], [[[-0.0], [-0.0]], [[1], [1]]])])
+# ... and the shared size-1 axis before its multiply
+@example([_table([("s", 1), ("x", 2)], [[-0.0, 1]]), _table([("s", 1), ("y", 2)], [[1, -0.0]])])
+def test_contract_is_bit_identical_to_optimized_einsum(factors):
+    counts = {}
+    for f in factors:
+        for l in f.labels:
+            counts[l] = counts.get(l, 0) + 1
+    out = [l for f in factors for l in f.labels if counts[l] == 1]
+    ids = {}
+    operands = []
+    for f in factors:
+        operands += [f.values, [ids.setdefault(l, len(ids)) for l in f.labels]]
+    want = np.einsum(*operands, [ids[l] for l in out], optimize=True)
+    got = contract(factors)
+    assert list(got.labels) == out
+    assert got.values.shape == want.shape
+    assert got.values.tobytes() == want.tobytes()  # signed zeros count
 
 
 def test_marginalize_sum_of_equality_is_one():

@@ -3,8 +3,10 @@
 ``golden_elimination.json`` holds, per graph, the exact ``eliminate`` step
 list (merged pair, eliminated edges in order, ops) and the ``sum_product``
 ``total_ops`` (null where the graph is not a tree).  The values were recorded
-from the linear-scan graph core; any rewrite of the graph index or of the
-engines' bookkeeping must reproduce them exactly.  Regenerate with
+from the linear-scan graph core, and those of the 200-vertex chain, the 3x20
+grid and the 120-vertex tree from the greedy loop that re-scored every pair on
+every step; any rewrite of the graph index or of the engines' bookkeeping must
+reproduce them exactly.  Regenerate with
 ``PYTHONPATH=src:tests python tests/test_golden.py`` only for a change that is
 meant to alter a schedule.
 """
@@ -20,7 +22,7 @@ from nfgraph.codes import parse_code_text
 from nfgraph.document import load_document
 from nfgraph.exterior import eliminate, sum_product
 
-from helpers import random_nfg, random_tree
+from helpers import grid_nfg, random_nfg, random_tree
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 GOLDEN = Path(__file__).with_name("golden_elimination.json")
@@ -42,6 +44,11 @@ def _cases():
     for seed in range(10):
         yield f"random_tree/{seed}", random_tree(np.random.default_rng(seed),
                                                  closed=seed % 2 == 0)
+    # larger graphs, where the greedy loop makes hundreds of merges
+    yield "chain/200", grid_nfg(np.random.default_rng(200), 1, 200)
+    yield "grid/3x20", grid_nfg(np.random.default_rng(320), 3, 20)
+    yield "random_tree/120", random_tree(np.random.default_rng(120), max_vertices=120,
+                                         min_vertices=120, max_alpha=3, closed=False)
 
 
 CASES = dict(_cases())
