@@ -17,6 +17,7 @@ from .algebra import (
     character,
     group_add,
     group_neg,
+    group_tables,
     make_product_domain,
 )
 from .factor import (

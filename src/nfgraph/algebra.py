@@ -23,6 +23,7 @@ __all__ = [
     "make_product_domain",
     "group_add",
     "group_neg",
+    "group_tables",
     "character",
     "character_table",
     "dual_kernel_table",
@@ -162,6 +163,26 @@ def group_neg(g: GroupAlphabet, a: int) -> int:
     return g.encode([(-x) % m for x, m in zip(g.decode(a), g.moduli)])
 
 
+def group_tables(g: GroupAlphabet) -> Tuple[np.ndarray, np.ndarray]:
+    """The addition table ``add[a, b] = a + b`` and negation vector ``neg[a] = -a``.
+
+    Both are ``intp`` arrays over the packed elements, computed digit by
+    digit on the mixed-radix components; entry for entry they equal
+    :func:`group_add` and :func:`group_neg`.
+    """
+    n = g.size
+    x = np.arange(n, dtype=np.intp)
+    add = np.zeros((n, n), dtype=np.intp)
+    neg = np.zeros(n, dtype=np.intp)
+    stride = n
+    for m in g.moduli:
+        stride //= m
+        digit = (x // stride) % m
+        add += stride * ((digit[:, None] + digit) % m)
+        neg += stride * (-digit % m)
+    return add, neg
+
+
 def character(g: GroupAlphabet, x: int, xhat: int) -> complex:
     """The standard pairing kappa(x, xhat) = prod_i exp(2*pi*i * x_i*xhat_i / m_i).
 
@@ -186,8 +207,7 @@ def character_table(g: GroupAlphabet) -> np.ndarray:
 def dual_kernel_table(g: GroupAlphabet) -> np.ndarray:
     """Dense table of the dual kernel kappa_hat(x, xhat) = kappa(x, -xhat) / |g|."""
     kappa = character_table(g)
-    neg = np.array([group_neg(g, a) for a in range(g.size)])
-    return kappa[:, neg] / g.size
+    return kappa[:, group_tables(g)[1]] / g.size
 
 
 def ordered_sizes(alphabet: object) -> Tuple[int, ...]:

@@ -1,9 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 on success, 1 when the input document fails to load or
-validate, 2 when a requested computation fails a numerical contract, and 64
-for usage errors.  All structured output is JSON on stdout, with vertices,
-edges, and axes ordered by id so reruns are byte-identical.
+validate, 2 when a requested computation fails a numerical contract or a
+table would pass the size cap, and 64 for usage errors.  All structured
+output is JSON on stdout, with vertices, edges, and axes ordered by id so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .document import (
     load_document,
 )
 from .exterior import eliminate, exterior_bruteforce, sum_product
-from .factor import Factor
+from .factor import Factor, TableSizeError
 from .inference import Query, query
 from .models import (
     cfg_to_nfg,
@@ -354,12 +355,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 64
 
-    # load stage: reading, parsing, and structural validation exit with 1
+    # load stage: reading, parsing, and structural validation exit with 1; a
+    # table past the size cap exits with 2, as it does in the compute stage
     try:
         if args.command == "codes":
             prepared = _prepare_codes(args)
         else:
             prepared = _load_doc(args.file)
+    except TableSizeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -236,20 +236,21 @@ def codewords(g: NfgGraph, tol: float = 1e-9) -> Tuple[Set[Tuple[int, ...]], flo
 
     z = eliminate(g).result
     flat = z.values.reshape(-1)
-    peak = float(np.max(np.abs(flat)))
+    mag = np.abs(flat)
+    peak = float(np.max(mag))
     if peak == 0.0:
         return set(), 0.0
-    ref = flat[int(np.argmax(np.abs(flat)))]
-    support: Set[Tuple[int, ...]] = set()
-    for idx in range(flat.size):
-        val = flat[idx]
-        if abs(val) <= tol * peak:
-            continue
-        if abs(val - ref) > tol * peak:
-            raise ValueError(
-                "exterior is not proportional to a 0/1 indicator "
-                f"(entry {val:.6g} vs scale {ref:.6g})")
-        support.add(tuple(int(c) for c in np.unravel_index(idx, z.values.shape)))
+    ref = flat[int(np.argmax(mag))]
+    # the comparisons keep their senses, so NaN entries are kept, not refused
+    kept = ~(mag <= tol * peak)
+    idx = np.flatnonzero(kept)
+    off = idx[np.abs(flat[idx] - ref) > tol * peak]
+    if off.size:
+        val = flat[off[0]]
+        raise ValueError(
+            "exterior is not proportional to a 0/1 indicator "
+            f"(entry {val:.6g} vs scale {ref:.6g})")
+    support = set(map(tuple, np.argwhere(kept.reshape(z.values.shape)).tolist()))
     if abs(ref.imag) > tol * abs(ref):
         raise ValueError(f"indicator scale {ref:.6g} is not real")
     return support, float(ref.real)

@@ -17,8 +17,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .algebra import GroupAlphabet, group_add, group_neg, make_product_domain, ordered_sizes
-from .factor import Factor, OpCounter, contract, multiply_pointwise
+from .algebra import group_tables, make_product_domain, ordered_sizes
+from .factor import (STATE_CAP, Factor, OpCounter, TableSizeError, _check_size, contract,
+                     multiply_pointwise)
 from .indicators import make_indicator
 from .nfg import HalfEdge, InternalEdge, NfgGraph, classify
 
@@ -33,23 +34,6 @@ __all__ = [
     "sum_product",
     "derivative_sum_product",
 ]
-
-STATE_CAP = 2 ** 24
-
-
-class TableSizeError(ValueError):
-    """A table (or enumerated state space) would have more than ``cap`` entries."""
-
-    def __init__(self, states: int, cap: int):
-        super().__init__(f"state space of size {states} exceeds the cap {cap}")
-        self.states = states
-        self.cap = cap
-
-
-def _check_size(states: int, cap: int = STATE_CAP) -> None:
-    if states > cap:
-        raise TableSizeError(states, cap)
-
 
 def exterior_bruteforce(g: NfgGraph, cap: int = STATE_CAP) -> Factor:
     """Exterior function by exhaustive enumeration over internal-edge assignments."""
@@ -352,16 +336,6 @@ def _star_merge(work: _WorkGraph, center: str, neighbors: List[str]) -> None:
 
 # -- indicator chain kernels --------------------------------------------------
 
-def _conv_tables(alphabet: GroupAlphabet):
-    n = alphabet.size
-    add = np.empty((n, n), dtype=np.intp)
-    for a in range(n):
-        for b in range(n):
-            add[a, b] = group_add(alphabet, a, b)
-    neg = np.array([group_neg(alphabet, a) for a in range(n)], dtype=np.intp)
-    return add, neg
-
-
 def _max_table(alphabet):
     sizes = ordered_sizes(alphabet)
     n = int(np.prod(sizes))
@@ -379,13 +353,18 @@ def _scatter_fold(vectors: List[np.ndarray], index: np.ndarray,
     """Fold vectors pairwise through sum_{(x,y) -> index[x,y]} a[x] b[y].
 
     Each pairwise fold is |X|^2 fused multiply-adds, recorded on ``mults``.
+    ``bincount`` sums each part from +0.0 in flattened order, as ``np.add.at``
+    would; the parts are written in place because ``re + 1j * im`` can flip
+    signed zeros.
     """
     acc = vectors[0]
     n = index.shape[0]
+    flat = index.reshape(-1)
     for vec in vectors[1:]:
-        outer = np.multiply.outer(acc, vec)
-        out = np.zeros(n, dtype=np.complex128)
-        np.add.at(out, index.reshape(-1), outer.reshape(-1))
+        outer = np.multiply.outer(acc, vec).reshape(-1)
+        out = np.empty(n, dtype=np.complex128)
+        out.real = np.bincount(flat, outer.real, minlength=n)
+        out.imag = np.bincount(flat, outer.imag, minlength=n)
         counter.mults += n * n
         acc = out
     return acc
@@ -424,7 +403,7 @@ def _indicator_star(center: Factor, incoming: Mapping[str, np.ndarray],
     if tag not in ("sum", "max"):
         raise ValueError(f"no chain kernel for tag {tag!r}")
     if tag == "sum":
-        table, neg = _conv_tables(alphabet)
+        table, neg = group_tables(alphabet)
     else:
         table, neg = _max_table(alphabet), None
 

@@ -21,6 +21,8 @@ __all__ = [
     "Factor",
     "OpCounter",
     "REL_TOL",
+    "STATE_CAP",
+    "TableSizeError",
     "contract",
     "marginalize",
     "multiply_pointwise",
@@ -32,6 +34,22 @@ __all__ = [
 
 # Default relative tolerance for equality checks, against the max-magnitude entry.
 REL_TOL = 1e-9
+
+STATE_CAP = 2 ** 24
+
+
+class TableSizeError(ValueError):
+    """A table (or enumerated state space) would have more than ``cap`` entries."""
+
+    def __init__(self, states: int, cap: int):
+        super().__init__(f"state space of size {states} exceeds the cap {cap}")
+        self.states = states
+        self.cap = cap
+
+
+def _check_size(states: int, cap: int = STATE_CAP) -> None:
+    if states > cap:
+        raise TableSizeError(states, cap)
 
 
 @dataclass
@@ -84,15 +102,20 @@ class Factor:
         return self.domain.alphabet(label)
 
     def relabel(self, mapping: dict[str, str]) -> "Factor":
-        """Rename axes; values are untouched."""
+        """Rename axes; values are untouched.  Renaming nothing returns ``self``."""
         axes = tuple((mapping.get(l, l), a) for l, a in self.domain.axes)
+        if axes == self.domain.axes:
+            return self
         return Factor(make_product_domain(axes), self.values, tag=self.tag)
 
     def transpose(self, labels: Sequence[str]) -> "Factor":
-        """Reorder axes to the given label order."""
+        """Reorder axes to the given label order; the same order returns ``self``."""
         perm = [self.domain.axis_index(l) for l in labels]
-        if sorted(perm) != list(range(self.ndim)):
+        identity = list(range(self.ndim))
+        if sorted(perm) != identity:
             raise ValueError(f"labels {labels!r} are not a permutation of {self.labels!r}")
+        if perm == identity:
+            return self
         axes = tuple(self.domain.axes[i] for i in perm)
         return Factor(make_product_domain(axes), self.values.transpose(perm), tag=self.tag)
 

@@ -21,11 +21,11 @@ from .algebra import (
     OrderedProductAlphabet,
     character_table,
     dual_kernel_table,
-    group_add,
+    group_tables,
     make_product_domain,
     ordered_sizes,
 )
-from .factor import REL_TOL, Factor, contract
+from .factor import REL_TOL, Factor, _check_size, contract
 
 __all__ = [
     "INDICATOR_KINDS",
@@ -78,7 +78,11 @@ def _difference_table(sizes) -> np.ndarray:
 
 def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
                    value: Optional[int] = None) -> Factor:
-    """Build the dense table of a named indicator or transformer kernel."""
+    """Build the dense table of a named indicator or transformer kernel.
+
+    A table of more than ``STATE_CAP`` entries raises
+    :class:`~nfgraph.factor.TableSizeError` before it is allocated.
+    """
     if kind not in INDICATOR_KINDS:
         raise ValueError(f"unknown indicator kind {kind!r}")
     size = alphabet.size
@@ -86,6 +90,7 @@ def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
     if kind == "eq":
         if degree < 2:
             raise ValueError("equality indicator needs degree >= 2")
+        _check_size(size ** degree)
         table = np.zeros((size,) * degree)
         table[tuple(np.arange(size) for _ in range(degree))] = 1.0
         return Factor(_arg_domain(alphabet, degree), table, tag="eq")
@@ -95,8 +100,8 @@ def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
             raise ValueError(f"{kind} indicator needs a group alphabet")
         if degree < 2:
             raise ValueError(f"{kind} indicator needs degree >= 2")
-        add = np.array([[group_add(alphabet, a, b) for b in range(size)]
-                        for a in range(size)])
+        _check_size(size ** degree)
+        add, _ = group_tables(alphabet)
         grids = _grids(size, degree)
         if kind == "sum":
             tail = grids[1]
@@ -114,6 +119,7 @@ def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
         sizes = ordered_sizes(alphabet)
         if degree < 2:
             raise ValueError("max indicator needs degree >= 2")
+        _check_size(size ** degree)
         codes = _component_codes(sizes)
         grids = _grids(size, degree)
         table = np.ones((size,) * degree, dtype=bool)
@@ -141,6 +147,7 @@ def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
     # bivariate transformer kernels
     if degree != 2:
         raise ValueError(f"{kind} kernel is bivariate")
+    _check_size(size * size)
     if kind in ("cumulus", "difference"):
         sizes = ordered_sizes(alphabet)
         table = _cumulus_table(sizes) if kind == "cumulus" else _difference_table(sizes)

@@ -18,14 +18,14 @@ import numpy as np
 from .algebra import (
     AnyAlphabet,
     GroupAlphabet,
-    group_add,
-    group_neg,
+    group_tables,
     make_product_domain,
     ordered_sizes,
 )
 from .factor import (
     REL_TOL,
     Factor,
+    _check_size,
     contract,
     multiply_pointwise,
     split_decompose,
@@ -248,34 +248,36 @@ def normalize_constrained(g: NfgGraph, tol: float = REL_TOL) -> NfgGraph:
 
 
 def convolve(a: Factor, b: Factor) -> Factor:
-    """Convolution over the shared (group-valued) axes, direct definition."""
+    """Convolution over the shared (group-valued) axes, direct definition.
+
+    An output of more than ``STATE_CAP`` entries raises
+    :class:`~nfgraph.factor.TableSizeError` before it is allocated.
+    """
     shared = [l for l in a.labels if l in b.labels]
     for l in shared:
         if a.alphabet(l) != b.alphabet(l):
             raise ValueError(f"alphabet mismatch on {l!r}")
         if not isinstance(a.alphabet(l), GroupAlphabet):
             raise ValueError(f"shared variable {l!r} is not group-valued")
-    if not shared:
-        return multiply_pointwise(a, b)
     a_only = [l for l in a.labels if l not in shared]
     b_only = [l for l in b.labels if l not in shared]
     out_labels = a_only + shared + b_only
     alpha = {l: al for l, al in list(a.domain.axes) + list(b.domain.axes)}
     dom = make_product_domain([(l, alpha[l]) for l in out_labels])
+    _check_size(dom.size)
+    if not shared:
+        return multiply_pointwise(a, b)
     out = np.zeros(dom.shape, dtype=np.complex128)
 
     a_t = a.transpose(a_only + shared)
     b_t = b.transpose(shared + b_only)
-    groups = [alpha[l] for l in shared]
-    sizes = [gp.size for gp in groups]
-    n_a = len(a_only)
-    for xs in itertools.product(*(range(s) for s in sizes)):
-        for ys in itertools.product(*(range(s) for s in sizes)):
-            diff = tuple(group_add(gp, x, group_neg(gp, y))
-                         for gp, x, y in zip(groups, xs, ys))
-            a_slice = a_t.values[(slice(None),) * n_a + diff]
-            b_slice = b_t.values[ys]
-            out[(slice(None),) * n_a + xs] += np.multiply.outer(a_slice, b_slice)
+    tables = [group_tables(alpha[l]) for l in shared]
+    lead = (slice(None),) * len(a_only)
+    # out[.., x, ..] += a[.., x - y] * b[y, ..] for every x at once; the y
+    # loop keeps the order in which each entry sums its terms
+    for ys in itertools.product(*(range(alpha[l].size) for l in shared)):
+        diff = np.ix_(*[add[:, neg[y]] for (add, neg), y in zip(tables, ys)])
+        out += np.multiply.outer(a_t.values[lead + diff], b_t.values[ys])
     return Factor(dom, out)
 
 

@@ -94,13 +94,17 @@ class NfgGraph:
             v, axis = end
             if v not in verts:
                 raise ValueError(f"edge {edge.id!r} references unknown vertex {v!r}")
-            factor = verts[v]
-            if axis not in factor.labels:
-                raise ValueError(f"edge {edge.id!r} binds unknown axis {axis!r} of vertex {v!r}")
+            domain = verts[v].domain
+            try:
+                pos = domain.positions[axis]
+            except (KeyError, TypeError):  # TypeError: an unhashable axis from a document
+                raise ValueError(
+                    f"edge {edge.id!r} binds unknown axis {axis!r} of vertex {v!r}") from None
             if end in bound:
                 raise ValueError(f"axis {axis!r} of vertex {v!r} bound by both "
                                  f"{bound[end].id!r} and {edge.id!r}")
-            if factor.alphabet(axis) != edge.alphabet:
+            alphabet = domain.axes[pos][1]
+            if alphabet is not edge.alphabet and alphabet != edge.alphabet:
                 raise ValueError(
                     f"edge {edge.id!r}: alphabet mismatch on axis {axis!r} of vertex {v!r}")
             bound[end] = edge

@@ -7,8 +7,9 @@ lookups; they deliberately avoid the package's contraction machinery.
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from nfgraph.algebra import Alphabet, make_product_domain
+from nfgraph.algebra import Alphabet, GroupAlphabet, group_add, group_neg, make_product_domain
 from nfgraph.factor import Factor
 from nfgraph.nfg import HalfEdge, InternalEdge, NfgGraph
 
@@ -253,3 +254,117 @@ def scan_fresh_id(g, prefix):
         k += 1
         candidate = f"{prefix}.{k}"
     return candidate
+
+
+# -- loop oracles for the group-arithmetic tables and kernels -----------------------
+
+
+# direct products of 1-3 cyclic groups of order 2..7
+group_alphabets = st.lists(st.integers(2, 7), min_size=1, max_size=3).map(
+    lambda moduli: GroupAlphabet(tuple(moduli)))
+
+SPECIAL_PARTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+
+
+def special_complex(rng, shape, share=0.3):
+    """Normal draws with about ``share`` of each part replaced by a special value."""
+    parts = []
+    for _ in range(2):
+        part = rng.standard_normal(shape)
+        hit = rng.random(shape) < share
+        part[hit] = rng.choice(SPECIAL_PARTS, int(hit.sum()))
+        parts.append(part)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal bytes, signed zeros included, except the sign bit of a NaN.
+
+    IEEE 754 leaves a NaN result's sign open, and numpy's own loops differ in
+    it: adding NaN to NaN, ``np.add.at`` keeps the accumulated NaN in the real
+    part and the incoming one in the imaginary part, and a one-element ``+=``
+    keeps the incoming NaN where an eight-element ``+=`` keeps the accumulated.
+    """
+    a = np.ascontiguousarray(got).view(np.float64)
+    b = np.ascontiguousarray(want).view(np.float64)
+    assert a.shape == b.shape
+    nan = np.isnan(b)
+    assert (np.isnan(a) == nan).all()
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def loop_group_tables(g):
+    """Addition table and negation vector built entry by entry from the scalar ops."""
+    n = g.size
+    add = np.array([[group_add(g, a, b) for b in range(n)] for a in range(n)], dtype=np.intp)
+    neg = np.array([group_neg(g, a) for a in range(n)], dtype=np.intp)
+    return add, neg
+
+
+def loop_sum_indicator(kind, g, degree):
+    """The sum or parity indicator table, one assignment at a time."""
+    table = np.zeros((g.size,) * degree)
+    for assign in itertools.product(range(g.size), repeat=degree):
+        total = 0
+        for x in assign[1 if kind == "sum" else 0:]:
+            total = group_add(g, total, x)
+        table[assign] = float(total == (assign[0] if kind == "sum" else 0))
+    return table
+
+
+def add_at_fold(vectors, index):
+    """The pairwise scatter fold through ``np.add.at``."""
+    acc = vectors[0]
+    n = index.shape[0]
+    for vec in vectors[1:]:
+        out = np.zeros(n, dtype=np.complex128)
+        np.add.at(out, index.reshape(-1), np.multiply.outer(acc, vec).reshape(-1))
+        acc = out
+    return acc
+
+
+def loop_convolve(a, b):
+    """Convolution over the shared axes by a double loop over their assignments."""
+    shared = [l for l in a.labels if l in b.labels]
+    a_only = [l for l in a.labels if l not in shared]
+    b_only = [l for l in b.labels if l not in shared]
+    alpha = {l: al for l, al in list(a.domain.axes) + list(b.domain.axes)}
+    dom = make_product_domain([(l, alpha[l]) for l in a_only + shared + b_only])
+    out = np.zeros(dom.shape, dtype=np.complex128)
+    a_t = a.transpose(a_only + shared)
+    b_t = b.transpose(shared + b_only)
+    groups = [alpha[l] for l in shared]
+    sizes = [gp.size for gp in groups]
+    n_a = len(a_only)
+    for xs in itertools.product(*(range(s) for s in sizes)):
+        for ys in itertools.product(*(range(s) for s in sizes)):
+            diff = tuple(group_add(gp, x, group_neg(gp, y))
+                         for gp, x, y in zip(groups, xs, ys))
+            a_slice = a_t.values[(slice(None),) * n_a + diff]
+            b_slice = b_t.values[ys]
+            out[(slice(None),) * n_a + xs] += np.multiply.outer(a_slice, b_slice)
+    return Factor(dom, out)
+
+
+def loop_codewords(values, tol=1e-9):
+    """Support and scale of a two-valued exterior table, one entry at a time."""
+    flat = values.reshape(-1)
+    peak = float(np.max(np.abs(flat)))
+    if peak == 0.0:
+        return set(), 0.0
+    ref = flat[int(np.argmax(np.abs(flat)))]
+    support = set()
+    for idx in range(flat.size):
+        val = flat[idx]
+        if abs(val) <= tol * peak:
+            continue
+        if abs(val - ref) > tol * peak:
+            raise ValueError(
+                "exterior is not proportional to a 0/1 indicator "
+                f"(entry {val:.6g} vs scale {ref:.6g})")
+        support.add(tuple(int(c) for c in np.unravel_index(idx, values.shape)))
+    if abs(ref.imag) > tol * abs(ref):
+        raise ValueError(f"indicator scale {ref:.6g} is not real")
+    return support, float(ref.real)

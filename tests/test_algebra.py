@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nfgraph.algebra import (
     Alphabet,
@@ -16,9 +16,12 @@ from nfgraph.algebra import (
     dual_kernel_table,
     group_add,
     group_neg,
+    group_tables,
     make_product_domain,
     ordered_sizes,
 )
+
+from helpers import group_alphabets, loop_group_tables
 
 
 def test_domain_sizes():
@@ -132,6 +135,16 @@ def test_dual_kernel_inverts():
         g = GroupAlphabet(moduli)
         prod = character_table(g) @ dual_kernel_table(g).T
         assert np.allclose(prod, np.eye(g.size), atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_alphabets)
+def test_group_tables_match_the_scalar_ops(g):
+    add, neg = group_tables(g)
+    want_add, want_neg = loop_group_tables(g)
+    assert add.dtype == neg.dtype == np.intp
+    assert add.tobytes() == want_add.tobytes()
+    assert neg.tobytes() == want_neg.tobytes()
 
 
 def test_ordered_alphabet_ranks():

@@ -301,6 +301,33 @@ def test_exit_1_on_validation_error(capsys, tmp_path):
     assert "edge9" in err
 
 
+def test_exit_1_on_an_unhashable_axis(capsys, tmp_path):
+    doc = json.loads((GRAPHS / "dsp_pair.json").read_text())
+    edge = next(e for e in doc["edges"] if e.get("kind", "internal") == "internal")
+    vertex, axis = edge["ends"][0]
+    edge["ends"][0] = [vertex, [axis]]
+    path = tmp_path / "list_axis.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert f"binds unknown axis ['{axis}']" in err
+
+
+def test_exit_2_when_a_loaded_indicator_exceeds_the_cap(capsys, tmp_path):
+    doc = {
+        "alphabets": {"z": {"kind": "group", "moduli": [1024]}},
+        "factors": {"s": {"indicator": "sum", "alphabet": "z", "degree": 3}},
+        "vertices": {"v": "s"},
+        "edges": [{"id": f"h{k}", "kind": "half", "alphabet": "z",
+                   "end": ["v", f"arg{k}"], "var": f"x{k}"} for k in (1, 2, 3)],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert "state space of size 1073741824 exceeds the cap 16777216" in err
+
+
 def test_exit_2_on_contract_failure(capsys):
     # spa on a cyclic graph is a computation-stage failure
     code, out, err = run_cli(capsys, "spa", str(GRAPHS / "mesh_two_external.json"))

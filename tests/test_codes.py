@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nfgraph.nfg import classify
+from nfgraph.algebra import Alphabet, make_product_domain
+from nfgraph.factor import Factor
+from nfgraph.nfg import HalfEdge, NfgGraph, classify
 from nfgraph.exterior import exterior_bruteforce
 from nfgraph.codes import (
     LinearCodeSpec,
@@ -14,6 +18,8 @@ from nfgraph.codes import (
     parse_code_text,
     weight_distribution,
 )
+
+from helpers import loop_codewords
 
 # the standard [7,4] Hamming pair: G systematic (stored as n x k), H = [P^T | I]
 HAMMING_G = (
@@ -204,3 +210,49 @@ def test_codewords_rejects_non_indicator():
     g = mesh_graph(rng)
     with pytest.raises(ValueError, match="not proportional"):
         codewords(g)
+
+
+def _outcome(fn):
+    try:
+        words, scale = fn()
+    except ValueError as err:
+        return str(err)
+    return words, repr(scale)  # repr: a NaN scale equals itself
+
+
+def _exterior_graph(values):
+    """One vertex holding ``values``, every axis a half edge: its exterior is ``values``."""
+    axes = [(f"x{i}", Alphabet(k)) for i, k in enumerate(values.shape)]
+    return NfgGraph({"v": Factor(make_product_domain(axes), values)},
+                    half_edges=[HalfEdge(f"h{l}", ("v", l), a, l) for l, a in axes])
+
+
+_ENTRIES = [0.0, -0.0, 1e-13, 2.5, 2.5 + 1e-12, -2.5, 1.25, 2.5j, 2.5 + 1e-3j,
+            complex("nan"), complex(0, math.inf)]
+
+
+@st.composite
+def _exterior_tables(draw):
+    shape = draw(st.lists(st.integers(1, 3), max_size=3))
+    entries = draw(st.lists(st.sampled_from(_ENTRIES), min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+    return np.array(entries, dtype=np.complex128).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exterior_tables())
+@example(np.array([2.5, complex("nan"), 0.0]))
+def test_codewords_matches_the_loop_oracle(values):
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: codewords(_exterior_graph(values)))
+        assert got == _outcome(lambda: loop_codewords(values))
+
+
+def test_codewords_keeps_nan_entries_and_names_the_first_offending_entry():
+    # a NaN peak makes every comparison false: all entries kept, no error
+    words, scale = codewords(_exterior_graph(np.array([2.5, complex("nan"), 0.0])))
+    assert words == {(0,), (1,), (2,)} and math.isnan(scale)
+    with pytest.raises(ValueError) as err:
+        codewords(_exterior_graph(np.array([[2.5, 1.25], [-2.5, 0.0]])))
+    assert str(err.value) == ("exterior is not proportional to a 0/1 indicator "
+                              "(entry 1.25+0j vs scale 2.5+0j)")

@@ -4,14 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nfgraph.algebra import Alphabet, GroupAlphabet, OrderedAlphabet, make_product_domain
+from nfgraph.algebra import (Alphabet, GroupAlphabet, OrderedAlphabet, group_tables,
+                             make_product_domain)
 from nfgraph.factor import Factor, OpCounter, factors_allclose
 from nfgraph.indicators import make_indicator
 from nfgraph.nfg import HalfEdge, InternalEdge, NfgGraph
 from nfgraph.codes import LinearCodeSpec, parity_realization
 from nfgraph.exterior import (
     TableSizeError,
+    _scatter_fold,
     block_order,
     derivative_sum_product,
     eliminate,
@@ -20,12 +23,16 @@ from nfgraph.exterior import (
 )
 
 from helpers import (
+    add_at_fold,
+    assert_same_bits,
+    group_alphabets,
     mesh_graph,
     oracle_edge_marginal,
     oracle_exterior,
     rand_factor,
     random_nfg,
     random_tree,
+    special_complex,
 )
 
 
@@ -570,3 +577,17 @@ def test_spa_variant_joint_sums_to_closed_marginals():
         expected = closed_out.marginals[e.id].values
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(summed - expected)) <= 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_alphabets, st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_scatter_fold_matches_add_at(g, k, seed):
+    rng = np.random.default_rng(seed)
+    vectors = [special_complex(rng, g.size) for _ in range(k)]
+    index = group_tables(g)[0]
+    counter = OpCounter()
+    with np.errstate(all="ignore"):
+        got = _scatter_fold(vectors, index, counter)
+        want = add_at_fold(vectors, index)
+    assert_same_bits(got, want)
+    assert counter.mults == (k - 1) * g.size ** 2

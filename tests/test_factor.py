@@ -321,6 +321,27 @@ def test_factor_immutable():
         f.values[0] = 5.0
 
 
+def test_transpose_and_relabel_return_self_when_nothing_changes():
+    rng = np.random.default_rng(9)
+    f = Factor(_rng_factor(rng, ["x", "y"], [2, 3]).domain, np.arange(6), tag="eq")
+    assert f.transpose(["x", "y"]) is f
+    assert f.relabel({}) is f
+    assert f.relabel({"x": "x", "z": "w"}) is f
+    swapped = f.transpose(["y", "x"])
+    assert swapped.labels == ("y", "x") and swapped.tag == "eq"
+    assert np.array_equal(swapped.values, f.values.T)
+    renamed = f.relabel({"x": "u"})
+    assert renamed.labels == ("u", "y") and np.array_equal(renamed.values, f.values)
+    with pytest.raises(KeyError, match="unknown axis label 'z'"):
+        f.transpose(["x", "z"])
+    with pytest.raises(ValueError, match="not a permutation"):
+        f.transpose(["x"])
+    with pytest.raises(ValueError, match="not a permutation"):
+        f.transpose(["x", "x"])
+    scalar = Factor.scalar(2.0)
+    assert scalar.transpose([]) is scalar
+
+
 def test_split_decompose_positive_matches_conditional_form():
     # a positive split factor factors, up to scale, as a prior on the pivot
     # times independent conditionals; the decomposition reproduces that form

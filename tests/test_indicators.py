@@ -1,5 +1,9 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nfgraph.algebra import (
     Alphabet,
@@ -7,7 +11,7 @@ from nfgraph.algebra import (
     OrderedAlphabet,
     OrderedProductAlphabet,
 )
-from nfgraph.factor import conditional_constant, contract, split_decompose
+from nfgraph.factor import TableSizeError, conditional_constant, contract, split_decompose
 from nfgraph.indicators import (
     TransformerPair,
     identity_transformer,
@@ -15,6 +19,8 @@ from nfgraph.indicators import (
     make_fourier_pair,
     make_indicator,
 )
+
+from helpers import group_alphabets, loop_sum_indicator
 
 
 def test_equality_table():
@@ -187,3 +193,34 @@ def test_non_inverse_pair_rejected():
 def test_identity_transformer():
     ident = identity_transformer(Alphabet(3))
     assert np.array_equal(ident.values.real, np.eye(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_alphabets, st.sampled_from(["sum", "parity"]), st.integers(2, 3))
+def test_sum_and_parity_tables_match_the_loop_oracle(g, kind, degree):
+    assume(g.size ** degree <= 4096)
+    got = make_indicator(kind, g, degree).values
+    want = loop_sum_indicator(kind, g, degree).astype(np.complex128)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, alphabet, degree, states", [
+    ("sum", GroupAlphabet((1024,)), 3, 2 ** 30),
+    ("parity", GroupAlphabet((32, 32)), 3, 2 ** 30),
+    ("eq", Alphabet(1024), 3, 2 ** 30),
+    ("max", OrderedAlphabet(1024), 3, 2 ** 30),
+    ("fourier", GroupAlphabet((2 ** 13,)), 2, 2 ** 26),
+])
+def test_make_indicator_refuses_an_oversized_table_before_allocating(
+        kind, alphabet, degree, states):
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableSizeError) as err:
+            make_indicator(kind, alphabet, degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1.0
+    assert (err.value.states, err.value.cap) == (states, 2 ** 24)
+    assert peak < 2 ** 24

@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfgraph.algebra import Alphabet, GroupAlphabet, OrderedAlphabet, make_product_domain
-from nfgraph.factor import Factor, contract, factors_allclose, multiply_pointwise
+from nfgraph.factor import (Factor, TableSizeError, contract, factors_allclose,
+                            multiply_pointwise)
 from nfgraph.indicators import make_cumulus_pair, make_indicator
 from nfgraph.nfg import HalfEdge, InternalEdge, NfgGraph, classify
 from nfgraph.exterior import exterior_bruteforce
@@ -26,7 +29,7 @@ from nfgraph.models import (
     to_cdn,
 )
 
-from helpers import rand_factor
+from helpers import assert_same_bits, loop_convolve, rand_factor, special_complex
 
 
 def _triangle_fg(rng, sizes=(2, 3, 2)):
@@ -179,6 +182,56 @@ def test_convolve_pairwise_definition():
                 expected = sum(f1.values[x1, (x2 - x) % 3] * f2.values[x, x3]
                                for x in range(3))
                 assert got.values[x1, x2, x3] == pytest.approx(expected)
+
+
+@st.composite
+def _convolution_pairs(draw):
+    """Two factors sharing 1-2 group axes, each with 0-2 plain axes of their own,
+    axes in drawn orders, values with signed zeros, infinities and NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    moduli = st.lists(st.integers(2, 4), min_size=1, max_size=2)
+    shared = [(f"s{i}", GroupAlphabet(tuple(draw(moduli))))
+              for i in range(draw(st.integers(1, 2)))]
+    sizes = st.lists(st.integers(1, 3), max_size=2)
+    a_axes = draw(st.permutations(
+        shared + [(f"a{i}", Alphabet(n)) for i, n in enumerate(draw(sizes))]))
+    b_axes = draw(st.permutations(
+        shared + [(f"b{i}", Alphabet(n)) for i, n in enumerate(draw(sizes))]))
+    out = []
+    for axes in (a_axes, b_axes):
+        dom = make_product_domain(axes)
+        out.append(Factor(dom, special_complex(rng, dom.shape)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_convolution_pairs())
+def test_convolve_matches_the_loop_oracle(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        got = convolve(a, b)
+        want = loop_convolve(a, b)
+    assert got.domain == want.domain
+    assert_same_bits(got.values, want.values)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["convolve", "pointwise"])
+def test_convolve_refuses_an_oversized_output_before_allocating(shared):
+    b, z2 = Alphabet(2), GroupAlphabet((2,))
+    common = [("s", z2)] if shared else []
+    a = Factor(make_product_domain([(f"a{k}", b) for k in range(13)] + common),
+               np.ones(2 ** (13 + len(common))))
+    c = Factor(make_product_domain(common + [(f"c{k}", b) for k in range(13)]),
+               np.ones(2 ** (13 + len(common))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableSizeError) as err:
+            convolve(a, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.states == 2 ** (26 + len(common))
+    assert peak < 2 ** 24
 
 
 def test_convolution_sum_indicator_identity():

@@ -54,6 +54,14 @@ def test_alphabet_mismatch_rejected():
             InternalEdge("e", (("u", "a"), ("v", "a")), Alphabet(2))])
 
 
+@pytest.mark.parametrize("axis", ["z", ["a"]], ids=["missing", "unhashable"])
+def test_unknown_axis_rejected(axis):
+    b = Alphabet(2)
+    f = rand_factor(np.random.default_rng(6), ["a"], [b])
+    with pytest.raises(ValueError, match="binds unknown axis"):
+        NfgGraph({"v": f}, half_edges=[HalfEdge("h", ("v", axis), b, "x")])
+
+
 def test_doubly_bound_axis_rejected():
     b = Alphabet(2)
     f = rand_factor(np.random.default_rng(3), ["a"], [b])
