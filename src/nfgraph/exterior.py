@@ -162,8 +162,6 @@ class _WorkGraph:
         if not shared:
             raise ValueError(f"vertices {u!r} and {v!r} are not adjacent")
         ops = self.pair_cost(u, v)
-        # the merged table keeps every label of the pair but the shared ones
-        _check_size(ops // math.prod(self.factors[u].alphabet(l).size for l in shared))
         fv = self.factors.pop(v)
         self.factors[u] = contract([self.factors[u], fv])
         for label in fv.labels:
@@ -269,7 +267,6 @@ def eliminate(g: NfgGraph,
         combined = remaining[0]
         ids = list(work.factors)
         for k, nxt in enumerate(remaining[1:], start=1):
-            _check_size(combined.domain.size * nxt.domain.size)
             combined = contract([combined, nxt])
             work.steps.append(EliminationStep((ids[0], ids[k]), (),
                                               int(np.prod(combined.domain.shape, dtype=np.int64))))

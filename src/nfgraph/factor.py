@@ -174,7 +174,9 @@ def contract(factors: Sequence[Factor]) -> Factor:
     in first-appearance order.  The values are bit-identical to
     ``np.einsum(..., optimize=True)`` on the same tables under numpy releases
     whose einsum contracts a pair through ``matmul`` (``bmm_einsum``, as in
-    numpy 2.4); under older ones a pair may differ in the last bit.
+    numpy 2.4); under older ones a pair may differ in the last bit.  An
+    output of more than ``STATE_CAP`` entries raises :class:`TableSizeError`
+    before any numeric work.
     """
     factors = list(factors)
     if not factors:
@@ -185,6 +187,7 @@ def contract(factors: Sequence[Factor]) -> Factor:
         for label in f.labels:
             if label in surviving and label not in out_labels:
                 out_labels.append(label)
+    _check_size(math.prod(surviving[l].size for l in out_labels))
 
     if len(factors) == 1:
         values = factors[0].values
@@ -243,17 +246,21 @@ def _contract_pair(a: Factor, b: Factor) -> np.ndarray:
 
 
 def multiply_pointwise(a: Factor, b: Factor) -> Factor:
-    """Pointwise product over the union of axes; shared labels are aligned, not summed."""
+    """Pointwise product over the union of axes; shared labels are aligned, not summed.
+
+    An output past ``STATE_CAP`` entries raises :class:`TableSizeError` first.
+    """
     for label in set(a.labels) & set(b.labels):
         if a.alphabet(label) != b.alphabet(label):
             raise ValueError(f"alphabet mismatch on shared label {label!r}")
     out_labels = list(a.labels) + [l for l in b.labels if l not in a.labels]
+    alpha = {l: al for l, al in list(a.domain.axes) + list(b.domain.axes)}
+    _check_size(math.prod(alpha[l].size for l in out_labels))
     ids: dict[str, int] = {}
     sub_a = [ids.setdefault(l, len(ids)) for l in a.labels]
     sub_b = [ids.setdefault(l, len(ids)) for l in b.labels]
     out = [ids[l] for l in out_labels]
     values = np.einsum(a.values, sub_a, b.values, sub_b, out)
-    alpha = {l: al for l, al in list(a.domain.axes) + list(b.domain.axes)}
     return Factor(make_product_domain([(l, alpha[l]) for l in out_labels]), values)
 
 

@@ -257,21 +257,6 @@ class NfgGraph:
                         return cycle
         return None
 
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.internal_edges) == len(self.vertices) - 1
-
-    # -- structural copies ----------------------------------------------------
-
-    def replace(self,
-                vertices: Optional[Mapping[str, Factor]] = None,
-                internal_edges: Optional[Sequence[InternalEdge]] = None,
-                half_edges: Optional[Sequence[HalfEdge]] = None) -> "NfgGraph":
-        return NfgGraph(
-            vertices if vertices is not None else self.vertices,
-            internal_edges if internal_edges is not None else self.internal_edges,
-            half_edges if half_edges is not None else self.half_edges,
-        )
-
 
 def _lookup(table: Mapping, key, what: str):
     try:

@@ -1,19 +1,21 @@
 """Graph rewrites that preserve or relate exterior functions.
 
-Vertex merging, inverse-pair transformer insertion, the holographic
-transformation (external insertions, internal pair insertions, then merging
-back into the original vertices), and the fast per-axis cumulus, difference,
+Vertex merging, transformer insertion, the holographic transformation as one
+local rewrite (each vertex function contracted with the transformers on its
+edges; the graph is built once), and the fast per-axis cumulus, difference,
 and Fourier transforms.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (
+    AnyAlphabet,
     GroupAlphabet,
     character_table,
     dual_kernel_table,
@@ -21,7 +23,7 @@ from .algebra import (
 )
 from .factor import REL_TOL, Factor, OpCounter, contract, factors_allclose
 from .indicators import TransformerPair
-from .nfg import HalfEdge, InternalEdge, NfgGraph
+from .nfg import Endpoint, HalfEdge, InternalEdge, NfgGraph
 
 __all__ = [
     "HolographicSpec",
@@ -60,42 +62,35 @@ def merge_vertices(g: NfgGraph, u: str, v: str) -> NfgGraph:
     if not shared:
         raise ValueError(f"vertices {u!r} and {v!r} are not adjacent")
 
-    map_u = _edge_labels(g, u)
-    map_v = _edge_labels(g, v)
-    merged = contract([g.factor(u).relabel(map_u), g.factor(v).relabel(map_v)])
-
-    shared_ids = {e.id for e in shared}
     vertices = {w: f for w, f in g.vertices.items() if w not in (u, v)}
-    vertices[u] = merged
-
-    internal: List[InternalEdge] = []
-    for e in g.internal_edges:
-        if e.id in shared_ids:
-            continue
-        ends = []
-        for slot, (w, axis) in enumerate(e.ends):
-            if w in (u, v):
-                label = f"{e.id}#{slot}" if e.is_loop() else e.id
-                ends.append((u, label))
-            else:
-                ends.append((w, axis))
-        internal.append(InternalEdge(e.id, (ends[0], ends[1]), e.alphabet))
-    half: List[HalfEdge] = []
-    for h in g.half_edges:
-        if h.end[0] in (u, v):
-            half.append(HalfEdge(h.id, (u, h.id), h.alphabet, h.var))
-        else:
-            half.append(h)
+    vertices[u] = contract([g.factor(w).relabel(_edge_labels(g, w)) for w in (u, v)])
+    internal, half = _rewired_edges(g, {u: u, v: u}, {e.id for e in shared}, {})
     return NfgGraph(vertices, internal, half)
 
 
-def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
-                            orientation: str, tol: float = REL_TOL) -> NfgGraph:
-    """Subdivide an internal edge with a verified inverse pair.
+def _rewired_edges(g: NfgGraph, owner: Mapping[str, str], dropped: Collection[str],
+                   alphabets: Mapping[str, AnyAlphabet]
+                   ) -> Tuple[List[InternalEdge], List[HalfEdge]]:
+    """The edges of ``g`` but ``dropped``, in order, rewired to merged vertices.
 
-    ``orientation`` names the endpoint vertex the forward transformer sits
-    next to.  The exterior function is unchanged.
+    An end at a key of ``owner`` moves to ``owner[key]`` under its label from
+    ``_edge_labels``; a moved half edge takes ``alphabets[var]`` if given.
     """
+    labels = {v: _edge_labels(g, v) for v in owner}
+
+    def end(w: str, axis: str) -> Endpoint:
+        return (owner[w], labels[w][axis]) if w in owner else (w, axis)
+
+    internal = [InternalEdge(e.id, (end(*e.ends[0]), end(*e.ends[1])), e.alphabet)
+                for e in g.internal_edges if e.id not in dropped]
+    half = [HalfEdge(h.id, end(*h.end), alphabets.get(h.var, h.alphabet), h.var)
+            if h.end[0] in owner else h for h in g.half_edges]
+    return internal, half
+
+
+def _check_pair(g: NfgGraph, edge_id: str, pair: TransformerPair, orientation: str,
+                tol: float) -> Tuple[Endpoint, Endpoint]:
+    """Verify a pair for an internal edge; return the edge's (near, far) ends."""
     pair.verify(tol)
     e = g.internal_edge(edge_id)
     if e.is_loop():
@@ -112,7 +107,27 @@ def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
         raise ValueError("pair member alphabets are inconsistent")
     if x_alpha != e.alphabet:
         raise ValueError(f"pair alphabet does not match edge {edge_id!r}")
+    return near, far
 
+
+def _check_transformer(g: NfgGraph, var: str, transformer: Factor) -> HalfEdge:
+    """Check an external transformer against its half edge; return that edge."""
+    if transformer.ndim != 2:
+        raise ValueError("external transformer must be bivariate")
+    h = g.half_edge_for_var(var)
+    if transformer.domain.axes[0][1] != h.alphabet:
+        raise ValueError(f"transformer does not match the alphabet of {var!r}")
+    return h
+
+
+def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
+                            orientation: str, tol: float = REL_TOL) -> NfgGraph:
+    """Subdivide an internal edge with a verified inverse pair.
+
+    ``orientation`` names the endpoint vertex the forward transformer sits
+    next to.  The exterior function is unchanged.
+    """
+    near, far = _check_pair(g, edge_id, pair, orientation, tol)
     w_fwd = g.fresh_id(f"{edge_id}_g")
     w_inv = g.fresh_id(f"{edge_id}_gi")
     e_near = g.fresh_id(f"{edge_id}_a")
@@ -123,9 +138,10 @@ def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
     vertices[w_fwd] = pair.forward
     vertices[w_inv] = pair.inverse
     internal = [x for x in g.internal_edges if x.id != edge_id]
-    internal.append(InternalEdge(e_near, (near, (w_fwd, "arg1")), e.alphabet))
-    internal.append(InternalEdge(e_mid, ((w_fwd, "arg2"), (w_inv, "arg1")), s_alpha))
-    internal.append(InternalEdge(e_far, ((w_inv, "arg2"), far), e.alphabet))
+    internal.append(InternalEdge(e_near, (near, (w_fwd, "arg1")), pair.alphabet))
+    internal.append(InternalEdge(e_mid, ((w_fwd, "arg2"), (w_inv, "arg1")),
+                                 pair.forward.domain.axes[1][1]))
+    internal.append(InternalEdge(e_far, ((w_inv, "arg2"), far), pair.alphabet))
     return NfgGraph(vertices, internal, g.half_edges)
 
 
@@ -135,11 +151,7 @@ def insert_transformer(g: NfgGraph, var: str, transformer: Factor) -> NfgGraph:
     The first axis faces the original vertex; the second becomes the new
     external variable (same name, possibly a different alphabet).
     """
-    if transformer.ndim != 2:
-        raise ValueError("external transformer must be bivariate")
-    h = g.half_edge_for_var(var)
-    if transformer.domain.axes[0][1] != h.alphabet:
-        raise ValueError(f"transformer does not match the alphabet of {var!r}")
+    h = _check_transformer(g, var, transformer)
     w = g.fresh_id(f"{var}_g")
     e_new = g.fresh_id(f"{var}_t")
     y_alpha = transformer.domain.axes[1][1]
@@ -164,57 +176,54 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
                           tol: float = REL_TOL) -> NfgGraph:
     """Transform every local function while keeping the graph topology.
 
-    Steps: insert the external transformers, insert the internal inverse
-    pairs, then merge each original vertex with its surrounding inserted
-    vertices.  The result keeps the original vertex ids, edge ids, and
-    external names.
+    A transformed vertex's axes are renamed by ``_edge_labels``, then it is
+    contracted with its external transformers (by variable, ``arg1`` facing
+    it) and its member of each pair (by edge id; the forward member faces the
+    near end through ``arg1``, the inverse the far end through ``arg2``).
+    Both ends of a paired edge take the label ``g.fresh_id(f"{id}_m")``.  Ids
+    and variables are kept; untransformed vertices precede transformed ones,
+    unpaired edges precede paired ones (by id), otherwise in input order.
     """
     for var in spec.external:
         g.half_edge_for_var(var)
     for eid in spec.internal:
         g.internal_edge(eid)
 
-    original_vertices = list(g.vertex_ids)
-    work = g
-    absorb: Dict[str, List[str]] = {v: [] for v in original_vertices}
-    mid_edge_of: Dict[str, str] = {}
-
+    # transformed vertex -> its relabeled transformers in fold order, and the
+    # fresh labels (no loop's ``{id}#{slot}`` can clash) of axes they sum over
+    members: Dict[str, List[Factor]] = defaultdict(list)
+    summed: Dict[str, Dict[str, str]] = defaultdict(dict)
     for var in sorted(spec.external):
-        h = work.half_edge_for_var(var)
-        owner = h.end[0]
-        before = set(work.vertices)
-        work = insert_transformer(work, var, spec.external[var])
-        (w,) = set(work.vertices) - before
-        absorb[owner].append(w)
-
+        t = spec.external[var]
+        h = _check_transformer(g, var, t)
+        seg = g.fresh_id(f"{var}_t")
+        summed[h.end[0]][h.end[1]] = seg
+        members[h.end[0]].append(t.relabel({"arg1": seg, "arg2": h.id}))
+    paired: List[InternalEdge] = []
     for eid in sorted(spec.internal):
         pair, orientation = spec.internal[eid]
-        before = set(work.vertices)
-        before_edges = {x.id for x in work.internal_edges}
-        work = insert_transformer_pair(work, eid, pair, orientation, tol=tol)
-        new = set(work.vertices) - before
-        for w in new:
-            # each inserted vertex is adjacent to exactly one original vertex
-            neigh = [x for x in work.neighbors(w) if x in absorb]
-            if neigh:
-                absorb[neigh[0]].append(w)
-        mid = next(x.id for x in work.internal_edges
-                   if x.id not in before_edges and set(x.vertices) <= new)
-        mid_edge_of[mid] = eid
+        near, far = _check_pair(g, eid, pair, orientation, tol)
+        mid = g.fresh_id(f"{eid}_m")
+        a, b = g.fresh_id(f"{eid}_a"), g.fresh_id(f"{eid}_b")
+        summed[near[0]][near[1]] = a
+        summed[far[0]][far[1]] = b
+        members[near[0]].append(pair.forward.relabel({"arg1": a, "arg2": mid}))
+        members[far[0]].append(pair.inverse.relabel({"arg1": mid, "arg2": b}))
+        paired.append(InternalEdge(eid, ((near[0], mid), (far[0], mid)),
+                                   pair.forward.domain.axes[1][1]))
 
-    for v in original_vertices:
-        for w in absorb[v]:
-            work = merge_vertices(work, v, w)
+    vertices = {v: f for v, f in g.vertices.items() if v not in members}
+    for v, f in g.vertices.items():
+        if v in members:
+            f = f.relabel({**_edge_labels(g, v), **summed[v]})
+            for t in members[v]:
+                f = contract([f, t])
+            vertices[v] = f
 
-    # restore the subdivided edges' original ids and the half-edge order
-    internal = []
-    for e in work.internal_edges:
-        if e.id in mid_edge_of:
-            internal.append(InternalEdge(mid_edge_of[e.id], e.ends, e.alphabet))
-        else:
-            internal.append(e)
-    return work.replace(internal_edges=internal,
-                        half_edges=[work.half_edge_for_var(h.var) for h in g.half_edges])
+    internal, half = _rewired_edges(
+        g, {v: v for v in members}, spec.internal,
+        {var: t.domain.axes[1][1] for var, t in spec.external.items()})
+    return NfgGraph(vertices, internal + paired, half)
 
 
 def split_vertex_guided(g: NfgGraph, vertex: str, replacement: NfgGraph,

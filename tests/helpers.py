@@ -9,9 +9,23 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from nfgraph.algebra import Alphabet, GroupAlphabet, group_add, group_neg, make_product_domain
-from nfgraph.factor import Factor
+from nfgraph.algebra import (
+    Alphabet,
+    GroupAlphabet,
+    OrderedAlphabet,
+    group_add,
+    group_neg,
+    make_product_domain,
+)
+from nfgraph.factor import REL_TOL, Factor
+from nfgraph.indicators import TransformerPair
 from nfgraph.nfg import HalfEdge, InternalEdge, NfgGraph
+from nfgraph.transform import (
+    HolographicSpec,
+    insert_transformer,
+    insert_transformer_pair,
+    merge_vertices,
+)
 
 
 def rand_factor(rng, labels, alphabets, positive=False, integer=False):
@@ -368,3 +382,155 @@ def loop_codewords(values, tol=1e-9):
     if abs(ref.imag) > tol * abs(ref):
         raise ValueError(f"indicator scale {ref:.6g} is not real")
     return support, float(ref.real)
+
+
+# -- the holographic transform as a chain of graph rewrites -------------------------
+
+
+def chain_holographic_transform(g, spec, tol=REL_TOL):
+    """Referee: insert every transformer, merge each into its owner, then rename.
+
+    Each step builds and validates a whole graph.  The external transformers
+    go in first (sorted by variable), then the pairs (sorted by edge id); each
+    original vertex then absorbs its inserted vertices in that order, and each
+    pair's middle segment takes back the id of the edge it subdivided.
+    """
+    for var in spec.external:
+        g.half_edge_for_var(var)
+    for eid in spec.internal:
+        g.internal_edge(eid)
+
+    original_vertices = list(g.vertex_ids)
+    work = g
+    absorb = {v: [] for v in original_vertices}
+    mid_edge_of = {}
+
+    for var in sorted(spec.external):
+        owner = work.half_edge_for_var(var).end[0]
+        before = set(work.vertices)
+        work = insert_transformer(work, var, spec.external[var])
+        (w,) = set(work.vertices) - before
+        absorb[owner].append(w)
+
+    for eid in sorted(spec.internal):
+        pair, orientation = spec.internal[eid]
+        before = set(work.vertices)
+        before_edges = {x.id for x in work.internal_edges}
+        work = insert_transformer_pair(work, eid, pair, orientation, tol=tol)
+        new = set(work.vertices) - before
+        for w in new:
+            # each inserted vertex is adjacent to exactly one original vertex
+            neigh = [x for x in work.neighbors(w) if x in absorb]
+            if neigh:
+                absorb[neigh[0]].append(w)
+        mid = next(x.id for x in work.internal_edges
+                   if x.id not in before_edges and set(x.vertices) <= new)
+        mid_edge_of[mid] = eid
+
+    for v in original_vertices:
+        for w in absorb[v]:
+            work = merge_vertices(work, v, w)
+
+    internal = [InternalEdge(mid_edge_of[e.id], e.ends, e.alphabet)
+                if e.id in mid_edge_of else e for e in work.internal_edges]
+    return NfgGraph(work.vertices, internal,
+                    [work.half_edge_for_var(h.var) for h in g.half_edges])
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_transformer_pair(rng, alphabet):
+    """A well-conditioned inverse pair on ``alphabet``.
+
+    The middle alphabet is plain or ordered, of the same size or one larger
+    (the inverse is then a right inverse).
+    """
+    n = alphabet.size
+    m = n + int(rng.integers(0, 2))
+    mid = (Alphabet if rng.random() < 0.5 else OrderedAlphabet)(m)
+    fwd = np.eye(n, m) + 0.3 * _complex(rng, (n, m))
+    inv = np.linalg.pinv(fwd)
+    return TransformerPair(
+        forward=Factor(make_product_domain([("arg1", alphabet), ("arg2", mid)]), fwd),
+        inverse=Factor(make_product_domain([("arg1", mid), ("arg2", alphabet)]), inv))
+
+
+def random_external_transformer(rng, alphabet, max_alpha=4):
+    """A random g(x, y) from ``alphabet`` to a plain alphabet of random size."""
+    out = Alphabet(int(rng.integers(2, max_alpha + 1)))
+    dom = make_product_domain([("arg1", alphabet), ("arg2", out)])
+    return Factor(dom, _complex(rng, dom.shape))
+
+
+HOLOGRAPHIC_FAULTS = ("unknown var", "unknown edge", "loop", "orientation",
+                      "not bivariate", "external alphabet", "not inverse",
+                      "pair alphabets", "pair edge alphabet")
+
+
+def random_holographic_spec(rng, g, errors=False):
+    """Random external transformers and oriented pairs on about half the edges.
+
+    Keys are inserted in a shuffled order.  With ``errors``, about a third of
+    the specs carry one of ``HOLOGRAPHIC_FAULTS`` (a fault the graph cannot
+    host, such as a loop on a loop-free graph, is skipped).
+    """
+    external, internal = {}, {}
+    for k in rng.permutation(len(g.half_edges)):
+        h = g.half_edges[k]
+        if rng.random() < 0.5:
+            external[h.var] = random_external_transformer(rng, h.alphabet)
+    for k in rng.permutation(len(g.internal_edges)):
+        e = g.internal_edges[k]
+        if not e.is_loop() and rng.random() < 0.5:
+            orientation = e.vertices[int(rng.integers(0, 2))]
+            internal[e.id] = (random_transformer_pair(rng, e.alphabet), orientation)
+    if errors and rng.random() < 0.35:
+        fault = HOLOGRAPHIC_FAULTS[int(rng.integers(0, len(HOLOGRAPHIC_FAULTS)))]
+        loops = [e for e in g.internal_edges if e.is_loop()]
+        plain = [e for e in g.internal_edges if not e.is_loop()]
+        if fault == "unknown var":
+            external["nowhere"] = random_external_transformer(rng, Alphabet(2))
+        elif fault == "unknown edge":
+            internal["nowhere"] = (random_transformer_pair(rng, Alphabet(2)), "v0")
+        elif fault == "loop" and loops:
+            e = loops[int(rng.integers(0, len(loops)))]
+            internal[e.id] = (random_transformer_pair(rng, e.alphabet), e.vertices[0])
+        elif fault == "orientation" and plain:
+            e = plain[int(rng.integers(0, len(plain)))]
+            internal[e.id] = (random_transformer_pair(rng, e.alphabet), "nowhere")
+        elif fault == "not bivariate" and g.half_edges:
+            h = g.half_edges[int(rng.integers(0, len(g.half_edges)))]
+            labels = ["arg1", "arg2", "arg3"][:int(rng.choice([1, 3]))]
+            external[h.var] = rand_factor(rng, labels, [h.alphabet] * len(labels))
+        elif fault == "external alphabet" and g.half_edges:
+            h = g.half_edges[int(rng.integers(0, len(g.half_edges)))]
+            external[h.var] = random_external_transformer(rng, Alphabet(h.alphabet.size + 1))
+        elif fault in ("not inverse", "pair alphabets", "pair edge alphabet") and plain:
+            e = plain[int(rng.integers(0, len(plain)))]
+            pair = random_transformer_pair(rng, e.alphabet)
+            if fault == "not inverse":
+                pair = TransformerPair(pair.forward, pair.forward.relabel(
+                    {"arg1": "arg2", "arg2": "arg1"}).transpose(["arg1", "arg2"]))
+            elif fault == "pair alphabets":
+                # a member over a same-size alphabet of another kind passes verify
+                other = OrderedAlphabet(e.alphabet.size)
+                inv = pair.inverse
+                pair = TransformerPair(pair.forward, Factor(make_product_domain(
+                    [("arg1", inv.domain.axes[0][1]), ("arg2", other)]), inv.values))
+            else:
+                pair = random_transformer_pair(rng, OrderedAlphabet(e.alphabet.size))
+            internal[e.id] = (pair, e.vertices[int(rng.integers(0, 2))])
+    return HolographicSpec(external=external, internal=internal)
+
+
+def assert_same_graph(got, want):
+    """Same vertex order, factor axes, tags and bytes, and the same edges in order."""
+    assert list(got.vertices) == list(want.vertices)
+    for v, f in want.vertices.items():
+        assert got.factor(v).domain.axes == f.domain.axes, v
+        assert got.factor(v).tag == f.tag, v
+        assert got.factor(v).values.tobytes() == f.values.tobytes(), v
+    assert got.internal_edges == want.internal_edges
+    assert got.half_edges == want.half_edges

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import subprocess
@@ -120,6 +121,20 @@ def test_checked_in_documents_validate(capsys, name):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["ok"] is True
+
+
+def test_example_tool_reproduces_graphs(monkeypatch, tmp_path, capsys):
+    tool = GRAPHS.parent / "tools" / "make_example_documents.py"
+    spec = importlib.util.spec_from_file_location("make_example_documents", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.main()
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GRAPHS.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GRAPHS / name).read_bytes(), name
 
 
 def test_classify_constrained_triangle(capsys):

@@ -116,6 +116,31 @@ def test_eliminate_refuses_an_oversized_table_before_allocating(shared):
     assert peak < 2 ** 24  # the refused table alone would take 1 GiB
 
 
+def test_sum_product_refuses_an_oversized_message_before_allocating():
+    # star t - c - {a, b}: the half-edge variables of a and b ride on their
+    # messages, so c's message to t would have 2 * 2^13 * 2^13 = 2^27 entries
+    b, wide = Alphabet(2), Alphabet(2 ** 13)
+    leaf = Factor(make_product_domain([("s", b), ("h", wide)]), np.ones((2, 2 ** 13)))
+    g = NfgGraph(
+        {"t": Factor(make_product_domain([("s", b)]), np.ones(2)),
+         "c": Factor(make_product_domain([(a, b) for a in ("st", "sa", "sb")]),
+                     np.ones((2, 2, 2))),
+         "a": leaf, "b": leaf},
+        internal_edges=[InternalEdge("et", (("t", "s"), ("c", "st")), b),
+                        InternalEdge("ea", (("a", "s"), ("c", "sa")), b),
+                        InternalEdge("eb", (("b", "s"), ("c", "sb")), b)],
+        half_edges=[HalfEdge(f"h{v}", (v, "h"), wide, f"x{v}") for v in ("a", "b")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableSizeError) as err:
+            sum_product(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.states, err.value.cap) == (2 ** 27, 2 ** 24)
+    assert peak < 2 ** 24  # the refused message alone would take 2 GiB
+
+
 def test_eliminate_refuses_oversized_code_intermediate_quickly():
     # greedy elimination of this [10,5] parity realization over Z_3 reaches
     # for a 3^18-entry table although the exterior has 3^10 entries

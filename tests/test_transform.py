@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfgraph.algebra import (
     Alphabet,
@@ -8,7 +11,7 @@ from nfgraph.algebra import (
     OrderedProductAlphabet,
     make_product_domain,
 )
-from nfgraph.factor import Factor, OpCounter, contract, factors_allclose
+from nfgraph.factor import Factor, OpCounter, TableSizeError, contract, factors_allclose
 from nfgraph.indicators import (
     TransformerPair,
     make_cumulus_pair,
@@ -27,7 +30,16 @@ from nfgraph.transform import (
     split_vertex_guided,
 )
 
-from helpers import mesh_graph, rand_factor, random_nfg
+from helpers import (
+    assert_same_graph,
+    chain_holographic_transform,
+    mesh_graph,
+    rand_factor,
+    random_external_transformer,
+    random_holographic_spec,
+    random_nfg,
+    random_transformer_pair,
+)
 
 
 def test_merge_two_vertex_chain():
@@ -61,6 +73,25 @@ def test_merge_requires_adjacency():
     g = mesh_graph(np.random.default_rng(2))
     with pytest.raises(ValueError, match="not adjacent"):
         merge_vertices(g, "f1", "f3")
+
+
+def test_merge_refuses_an_oversized_table_before_allocating():
+    # one shared binary edge, a 2^13-state half edge on each side: 2^26 entries
+    b, wide = Alphabet(2), Alphabet(2 ** 13)
+    g = NfgGraph(
+        {v: Factor(make_product_domain([("s", b), ("h", wide)]), np.ones((2, 2 ** 13)))
+         for v in ("u", "v")},
+        internal_edges=[InternalEdge("s", (("u", "s"), ("v", "s")), b)],
+        half_edges=[HalfEdge(f"h{v}", (v, "h"), wide, f"x{v}") for v in ("u", "v")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableSizeError) as err:
+            merge_vertices(g, "u", "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.states, err.value.cap) == (2 ** 26, 2 ** 24)
+    assert peak < 2 ** 24  # the refused table alone would take 1 GiB
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -426,3 +457,120 @@ def test_fourier_pipeline_on_generative_sum_model():
     ky = kappa.relabel({"arg1": "x2_in", "arg2": "x2"})
     expected = contract([z_in.relabel({"x1": "x1_in", "x2": "x2_in"}), kx, ky])
     assert factors_allclose(z_out, expected, tol=1e-9)
+
+
+# -- the local rewrite against the chain of graph rewrites ------------------------
+
+
+def _outcome(transform, g, spec):
+    try:
+        return transform(g, spec), None
+    except (KeyError, ValueError) as exc:
+        return None, exc
+
+
+def assert_matches_chain(g, spec):
+    got, got_err = _outcome(holographic_transform, g, spec)
+    want, want_err = _outcome(chain_holographic_transform, g, spec)
+    if want_err is not None or got_err is not None:
+        assert type(got_err) is type(want_err)
+        assert str(got_err) == str(want_err)
+    else:
+        assert_same_graph(got, want)
+    return got
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_holographic_transform_matches_chain_oracle(seed):
+    rng = np.random.default_rng(seed)
+    g = random_nfg(rng, max_vertices=5, max_internal=6, max_half=3, loops=True)
+    assert_matches_chain(g, random_holographic_spec(rng, g, errors=True))
+
+
+def _collision_graph():
+    """Edge ``s`` beside an edge ``s_m``, a vertex ``s_m.1`` and a vertex ``x_g``."""
+    b = Alphabet(2)
+    rng = np.random.default_rng(21)
+    return NfgGraph(
+        {"u": rand_factor(rng, ["x", "s", "p", "q"], [b] * 4),
+         "x_g": rand_factor(rng, ["s", "p", "y"], [b] * 3),
+         "s_m.1": rand_factor(rng, ["q"], [b])},
+        internal_edges=[InternalEdge("s", (("u", "s"), ("x_g", "s")), b),
+                        InternalEdge("s_m", (("u", "p"), ("x_g", "p")), b),
+                        InternalEdge("t", (("u", "q"), ("s_m.1", "q")), b)],
+        half_edges=[HalfEdge("hx", ("u", "x"), b, "x"),
+                    HalfEdge("hs", ("x_g", "y"), b, "s")])
+
+
+@pytest.mark.parametrize("orientation", ["u", "x_g"])
+def test_holographic_transform_id_collisions(orientation):
+    g = _collision_graph()
+    rng = np.random.default_rng(22)
+    b = Alphabet(2)
+    spec = HolographicSpec(
+        external={"x": random_external_transformer(rng, b),
+                  "s": random_external_transformer(rng, b)},
+        internal={"s": (random_transformer_pair(rng, b), orientation),
+                  "s_m": (random_transformer_pair(rng, b), "x_g"),
+                  "t": (random_transformer_pair(rng, b), "s_m.1")})
+    out = assert_matches_chain(g, spec)
+    # s_m and s_m.1 are taken, so the middle segment of s is labelled s_m.2
+    assert out.internal_edge("s").ends == (
+        (orientation, "s_m.2"), ({"u": "x_g", "x_g": "u"}[orientation], "s_m.2"))
+    assert out.internal_edge("s_m").ends == (("x_g", "s_m_m"), ("u", "s_m_m"))
+    assert out.internal_edge("t").ends == (("s_m.1", "t_m"), ("u", "t_m"))
+
+
+def test_holographic_transform_paired_edge_named_like_a_loop_end():
+    # the loop e labels its ends e#0 and e#1 once u is transformed; the axis of
+    # the paired edge e#0 is summed over, so its label must not clash with them
+    b = Alphabet(2)
+    rng = np.random.default_rng(24)
+    g = NfgGraph(
+        {"u": rand_factor(rng, ["l0", "l1", "p", "x"], [b] * 4),
+         "w": rand_factor(rng, ["p"], [b])},
+        internal_edges=[InternalEdge("e", (("u", "l0"), ("u", "l1")), b),
+                        InternalEdge("e#0", (("u", "p"), ("w", "p")), b)],
+        half_edges=[HalfEdge("h", ("u", "x"), b, "x")])
+    spec = HolographicSpec(external={"x": random_external_transformer(rng, b)},
+                           internal={"e#0": (random_transformer_pair(rng, b), "u")})
+    out = assert_matches_chain(g, spec)
+    assert out.factor("u").labels == ("e#0", "e#1", "h", "e#0_m")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_holographic_identity_on_random_pairs(seed):
+    # Z_out(y) = <Z_in(x), prod_i g_i(x_i, y_i)>: the pairs cancel, the
+    # external transformers act on the exterior
+    rng = np.random.default_rng(seed)
+    g = random_nfg(rng, max_vertices=4, max_internal=4, max_alpha=3, max_half=2,
+                   loops=True)
+    spec = random_holographic_spec(rng, g)
+    out = holographic_transform(g, spec)
+    z_in = exterior_bruteforce(g)
+    parts = [z_in.relabel({var: f"{var}_in" for var in spec.external})]
+    parts += [t.relabel({"arg1": f"{var}_in", "arg2": var})
+              for var, t in spec.external.items()]
+    expected = contract(parts)
+    assert factors_allclose(exterior_bruteforce(out), expected, tol=1e-9)
+
+
+def test_holographic_transform_builds_one_graph(monkeypatch):
+    rng = np.random.default_rng(23)
+    g = random_nfg(rng, max_vertices=6, max_internal=8, loops=True)
+    spec = HolographicSpec(
+        external={h.var: random_external_transformer(rng, h.alphabet) for h in g.half_edges},
+        internal={e.id: (random_transformer_pair(rng, e.alphabet), e.vertices[0])
+                  for e in g.internal_edges if not e.is_loop()})
+    calls = []
+    init = NfgGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NfgGraph, "__init__", counting_init)
+    holographic_transform(g, spec)
+    assert len(calls) == 1
