@@ -369,7 +369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    # compute stage: numerical-contract failures exit with 2
+    # compute stage: numerical-contract failures, and running out of memory
+    # below the size caps, exit with 2
     handler = _COMMANDS[args.command]
     try:
         out = handler(args, prepared)
@@ -378,6 +379,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 64
     except (ValueError, KeyError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     print(dump_document(out), end="")
     return 0

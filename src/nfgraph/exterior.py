@@ -1,7 +1,10 @@
 """Exterior-function evaluation engines.
 
 ``exterior_bruteforce`` enumerates internal-edge assignments explicitly and is
-the independent oracle; it never routes through the contraction engine.
+the independent oracle; it never routes through the contraction engine.  It
+enumerates in numpy blocks of assignments, in ``itertools.product`` order,
+gathering each vertex's slab by index arrays and adding the terms onto the
+accumulator one after another.
 ``eliminate`` merges adjacent vertex pairs with multiply-add accounting per the
 pair-merge cost rule.  ``sum_product`` runs the two-sweep message schedule on
 trees, with low-complexity shortcuts for tagged equality/sum/max vertices.
@@ -10,7 +13,6 @@ trees, with low-complexity shortcuts for tagged equality/sum/max vertices.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -35,64 +37,57 @@ __all__ = [
     "derivative_sum_product",
 ]
 
+# Terms (assignments x accumulator entries) enumerated per numpy block.
+_BLOCK_TERMS = 2 ** 12
+
+
 def exterior_bruteforce(g: NfgGraph, cap: int = STATE_CAP) -> Factor:
-    """Exterior function by exhaustive enumeration over internal-edge assignments."""
-    states = 1
-    for e in g.internal_edges:
-        states *= e.alphabet.size
-    for h in g.half_edges:
-        states *= h.alphabet.size
+    """Exterior function by exhaustive enumeration over internal-edge assignments.
+
+    Assignments run in ``itertools.product`` order over ``g.internal_edges``
+    (the first edge changes slowest), in blocks of about ``_BLOCK_TERMS``
+    terms and at least one assignment.  Each term is complex one times every
+    vertex's slab in ``g.vertices`` order, and the terms are added onto the
+    accumulator one after another.
+    """
+    sizes = [e.alphabet.size for e in g.internal_edges]
+    states = math.prod(sizes) * math.prod(h.alphabet.size for h in g.half_edges)
     _check_size(states, cap)
 
     out_axes = [(h.var, h.alphabet) for h in g.half_edges]
     out_shape = tuple(a.size for _, a in out_axes)
-    out_pos = {h.var: i for i, h in enumerate(g.half_edges)}
-    acc = np.zeros(out_shape, dtype=np.complex128)
+    edge_index = {e.id: k for k, e in enumerate(g.internal_edges)}
+    out_pos = {h.id: i for i, h in enumerate(g.half_edges)}
 
-    edge_sizes = [e.alphabet.size for e in g.internal_edges]
-
-    # per vertex: which axes take internal values, and how the external axes
-    # broadcast into the accumulator
+    # per vertex: its table with the internal axes first and the external
+    # axes after them in accumulator order, the internal edge indexing each
+    # leading axis (a loop's two axes share one), and the slab's shape
     plans = []
     for v, factor in g.vertices.items():
-        internal_axes: List[Tuple[int, int]] = []  # (axis position, internal edge index)
-        ext_positions: List[int] = []  # accumulator axis per external factor axis
-        for pos, label in enumerate(factor.labels):
-            bound = None
-            for k, e in enumerate(g.internal_edges):
-                if (v, label) in e.ends:
-                    bound = ("internal", k)
-                    break
-            if bound is None:
-                h = next(h for h in g.half_edges if h.end == (v, label))
-                bound = ("half", out_pos[h.var])
-            if bound[0] == "internal":
-                internal_axes.append((pos, bound[1]))
-            else:
-                ext_positions.append(bound[1])
-        plans.append((factor.values, internal_axes, ext_positions))
+        edges = [g.edge_at(v, label) for label in factor.labels]
+        internal = [i for i, e in enumerate(edges) if isinstance(e, InternalEdge)]
+        external = sorted((out_pos[e.id], i) for i, e in enumerate(edges)
+                          if isinstance(e, HalfEdge))
+        shape = [1] * len(out_shape)
+        for p, _ in external:
+            shape[p] = out_shape[p]
+        plans.append((factor.values.transpose(internal + [i for _, i in external]),
+                      [edge_index[edges[i].id] for i in internal], (-1, *shape)))
 
-    for assign in itertools.product(*(range(s) for s in edge_sizes)):
-        term = np.ones((), dtype=np.complex128)
-        term_shape = [1] * len(out_shape)
-        term = term.reshape(term_shape) if out_shape else term
-        for values, internal_axes, ext_positions in plans:
-            idx: List[object] = [slice(None)] * values.ndim
-            for pos, k in internal_axes:
-                idx[pos] = assign[k]
-            slab = values[tuple(idx)]
-            if out_shape:
-                # reorder remaining axes to accumulator order, pad with size-1 axes
-                order = np.argsort(ext_positions, kind="stable")
-                slab = slab.transpose(tuple(order))
-                shape = [1] * len(out_shape)
-                for p in ext_positions:
-                    shape[p] = out_shape[p]
-                slab = slab.reshape(shape)
-            term = term * slab
-        acc += term
+    count = math.prod(sizes)
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    block = max(1, _BLOCK_TERMS // math.prod(out_shape))
+    acc = np.zeros((1, *out_shape), dtype=np.complex128)
+    for start in range(0, count, block):
+        flat = np.arange(start, min(start + block, count))
+        digits = [flat // stride % size for stride, size in zip(strides, sizes)]
+        term = np.ones((len(flat),) + (1,) * len(out_shape), dtype=np.complex128)
+        for values, axes, shape in plans:
+            term = term * values[tuple(digits[k] for k in axes)].reshape(shape)
+        # a sequential running sum, so each entry adds its terms in order
+        acc = np.add.accumulate(np.concatenate([acc, term]))[-1:]
 
-    return Factor(make_product_domain(out_axes), acc)
+    return Factor(make_product_domain(out_axes), acc[0])
 
 
 @dataclass(frozen=True)

@@ -36,19 +36,32 @@ __all__ = [
 ]
 
 
-def _edge_labels(g: NfgGraph, vertex: str) -> Dict[str, str]:
-    """Axis -> working label; loop endpoints get slot-suffixed labels."""
-    mapping: Dict[str, str] = {}
-    for e in g.internal_at(vertex):
-        if e.is_loop():
-            mapping[e.ends[0][1]] = f"{e.id}#0"
-            mapping[e.ends[1][1]] = f"{e.id}#1"
-        else:
-            v, axis = e.ends[0] if e.ends[0][0] == vertex else e.ends[1]
-            mapping[axis] = e.id
-    for h in g.half_at(vertex):
-        mapping[h.end[1]] = h.id
-    return mapping
+def _edge_labels(g: NfgGraph, group: Sequence[str], free: Collection[str] = ()
+                 ) -> Dict[str, Dict[str, str]]:
+    """Vertex -> axis -> working label, for vertices merged into one.
+
+    An axis takes the id of the edge that binds it.  A loop's ends take
+    ``{id}#0`` and ``{id}#1``; where another axis of ``group`` already has
+    that label (edges in ``free`` aside, whose axes get other labels), the
+    first of ``{id}#{slot}.1``, ``.2``, ... that none has.
+    """
+    labels: Dict[str, Dict[str, str]] = {v: {} for v in group}
+    loops = []  # (vertex, axis, label before any suffix)
+    for v in group:
+        for axis in g.factor(v).labels:
+            e = g.edge_at(v, axis)
+            if isinstance(e, InternalEdge) and e.is_loop():
+                loops.append((v, axis, f"{e.id}#{e.ends.index((v, axis))}"))
+            else:
+                labels[v][axis] = e.id
+    taken = {label for axes in labels.values() for label in axes.values()} - set(free)
+    for v, axis, name in loops:
+        label, k = name, 0
+        while label in taken:
+            k += 1
+            label = f"{name}.{k}"
+        labels[v][axis] = label
+    return labels
 
 
 def merge_vertices(g: NfgGraph, u: str, v: str) -> NfgGraph:
@@ -62,21 +75,23 @@ def merge_vertices(g: NfgGraph, u: str, v: str) -> NfgGraph:
     if not shared:
         raise ValueError(f"vertices {u!r} and {v!r} are not adjacent")
 
+    labels = _edge_labels(g, (u, v))
     vertices = {w: f for w, f in g.vertices.items() if w not in (u, v)}
-    vertices[u] = contract([g.factor(w).relabel(_edge_labels(g, w)) for w in (u, v)])
-    internal, half = _rewired_edges(g, {u: u, v: u}, {e.id for e in shared}, {})
+    vertices[u] = contract([g.factor(w).relabel(labels[w]) for w in (u, v)])
+    internal, half = _rewired_edges(g, {u: u, v: u}, labels, {e.id for e in shared}, {})
     return NfgGraph(vertices, internal, half)
 
 
-def _rewired_edges(g: NfgGraph, owner: Mapping[str, str], dropped: Collection[str],
+def _rewired_edges(g: NfgGraph, owner: Mapping[str, str],
+                   labels: Mapping[str, Mapping[str, str]], dropped: Collection[str],
                    alphabets: Mapping[str, AnyAlphabet]
                    ) -> Tuple[List[InternalEdge], List[HalfEdge]]:
     """The edges of ``g`` but ``dropped``, in order, rewired to merged vertices.
 
     An end at a key of ``owner`` moves to ``owner[key]`` under its label from
-    ``_edge_labels``; a moved half edge takes ``alphabets[var]`` if given.
+    ``labels`` (see ``_edge_labels``); a moved half edge takes
+    ``alphabets[var]`` if given.
     """
-    labels = {v: _edge_labels(g, v) for v in owner}
 
     def end(w: str, axis: str) -> Endpoint:
         return (owner[w], labels[w][axis]) if w in owner else (w, axis)
@@ -91,6 +106,8 @@ def _rewired_edges(g: NfgGraph, owner: Mapping[str, str], dropped: Collection[st
 def _check_pair(g: NfgGraph, edge_id: str, pair: TransformerPair, orientation: str,
                 tol: float) -> Tuple[Endpoint, Endpoint]:
     """Verify a pair for an internal edge; return the edge's (near, far) ends."""
+    _check_axis_names(pair.forward, f"forward transformer of edge {edge_id!r}")
+    _check_axis_names(pair.inverse, f"inverse transformer of edge {edge_id!r}")
     pair.verify(tol)
     e = g.internal_edge(edge_id)
     if e.is_loop():
@@ -110,10 +127,18 @@ def _check_pair(g: NfgGraph, edge_id: str, pair: TransformerPair, orientation: s
     return near, far
 
 
+def _check_axis_names(transformer: Factor, name: str) -> None:
+    """Transformers bind by axis name: refuse one whose axes are not arg1, arg2."""
+    if set(transformer.labels) != {"arg1", "arg2"}:
+        raise ValueError(f"{name} must have axes 'arg1' and 'arg2', "
+                         f"got {list(transformer.labels)}")
+
+
 def _check_transformer(g: NfgGraph, var: str, transformer: Factor) -> HalfEdge:
     """Check an external transformer against its half edge; return that edge."""
     if transformer.ndim != 2:
         raise ValueError("external transformer must be bivariate")
+    _check_axis_names(transformer, f"transformer for {var!r}")
     h = g.half_edge_for_var(var)
     if transformer.domain.axes[0][1] != h.alphabet:
         raise ValueError(f"transformer does not match the alphabet of {var!r}")
@@ -212,16 +237,19 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
         paired.append(InternalEdge(eid, ((near[0], mid), (far[0], mid)),
                                    pair.forward.domain.axes[1][1]))
 
+    labels: Dict[str, Dict[str, str]] = {}
+    for v in members:
+        labels.update(_edge_labels(g, (v,), free=spec.internal))
     vertices = {v: f for v, f in g.vertices.items() if v not in members}
     for v, f in g.vertices.items():
         if v in members:
-            f = f.relabel({**_edge_labels(g, v), **summed[v]})
+            f = f.relabel({**labels[v], **summed[v]})
             for t in members[v]:
                 f = contract([f, t])
             vertices[v] = f
 
     internal, half = _rewired_edges(
-        g, {v: v for v in members}, spec.internal,
+        g, {v: v for v in members}, labels, spec.internal,
         {var: t.domain.axes[1][1] for var, t in spec.external.items()})
     return NfgGraph(vertices, internal + paired, half)
 
@@ -235,7 +263,7 @@ def split_vertex_guided(g: NfgGraph, vertex: str, replacement: NfgGraph,
     within ``tol``.
     """
     factor = g.factor(vertex)
-    mapping = _edge_labels(g, vertex)
+    mapping = _edge_labels(g, (vertex,))[vertex]
     want = factor.relabel(mapping)
     from .exterior import exterior_bruteforce
 

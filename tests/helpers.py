@@ -230,6 +230,52 @@ def broadcast_joint(g):
     return ids, sizes, table
 
 
+def loop_exterior_bruteforce(g):
+    """Referee: the exterior, one Python step per internal-edge assignment.
+
+    Each term starts as a complex one and is multiplied by every vertex's
+    slab in vertex order; terms are added onto the accumulator in
+    ``itertools.product`` order.  On a closed graph the products are numpy
+    scalar products, which round each part of a complex product on its own.
+    """
+    out_axes = [(h.var, h.alphabet) for h in g.half_edges]
+    out_shape = tuple(a.size for _, a in out_axes)
+    out_pos = {h.var: i for i, h in enumerate(g.half_edges)}
+    acc = np.zeros(out_shape, dtype=np.complex128)
+    edge_sizes = [e.alphabet.size for e in g.internal_edges]
+
+    plans = []
+    for v, factor in g.vertices.items():
+        internal_axes = []  # (axis position, internal edge index)
+        ext_positions = []  # accumulator axis per external factor axis
+        for pos, label in enumerate(factor.labels):
+            k = next((k for k, e in enumerate(g.internal_edges) if (v, label) in e.ends), None)
+            if k is not None:
+                internal_axes.append((pos, k))
+            else:
+                h = next(h for h in g.half_edges if h.end == (v, label))
+                ext_positions.append(out_pos[h.var])
+        plans.append((factor.values, internal_axes, ext_positions))
+
+    for assign in itertools.product(*(range(s) for s in edge_sizes)):
+        term = np.ones((), dtype=np.complex128)
+        term = term.reshape([1] * len(out_shape)) if out_shape else term
+        for values, internal_axes, ext_positions in plans:
+            idx = [slice(None)] * values.ndim
+            for pos, k in internal_axes:
+                idx[pos] = assign[k]
+            slab = values[tuple(idx)]
+            if out_shape:
+                slab = slab.transpose(tuple(np.argsort(ext_positions, kind="stable")))
+                shape = [1] * len(out_shape)
+                for p in ext_positions:
+                    shape[p] = out_shape[p]
+                slab = slab.reshape(shape)
+            term = term * slab
+        acc += term
+    return Factor(make_product_domain(out_axes), acc)
+
+
 # -- linear-scan oracles for the NfgGraph incidence index ---------------------------
 
 
@@ -280,13 +326,13 @@ group_alphabets = st.lists(st.integers(2, 7), min_size=1, max_size=3).map(
 SPECIAL_PARTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
 
 
-def special_complex(rng, shape, share=0.3):
+def special_complex(rng, shape, share=0.3, specials=SPECIAL_PARTS):
     """Normal draws with about ``share`` of each part replaced by a special value."""
     parts = []
     for _ in range(2):
         part = rng.standard_normal(shape)
         hit = rng.random(shape) < share
-        part[hit] = rng.choice(SPECIAL_PARTS, int(hit.sum()))
+        part[hit] = rng.choice(specials, int(hit.sum()))
         parts.append(part)
     out = np.empty(shape, dtype=np.complex128)
     out.real, out.imag = parts

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nfgraph import cli
 from nfgraph.cli import main
 from nfgraph.document import (
     dump_document,
@@ -348,6 +349,15 @@ def test_exit_2_on_contract_failure(capsys):
     code, out, err = run_cli(capsys, "spa", str(GRAPHS / "mesh_two_external.json"))
     assert code == 2
     assert "cycle" in err
+
+
+def test_exit_2_when_the_compute_stage_runs_out_of_memory(capsys, monkeypatch):
+    def exhausted(args, prepared):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "exterior", exhausted)
+    code, out, err = run_cli(capsys, "exterior", str(GRAPHS / "mesh_two_external.json"))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_exit_64_on_usage_error(capsys):

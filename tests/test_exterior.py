@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nfgraph.factor import Factor, OpCounter, factors_allclose
 from nfgraph.indicators import make_indicator
 from nfgraph.nfg import HalfEdge, InternalEdge, NfgGraph
 from nfgraph.codes import LinearCodeSpec, parity_realization
+from nfgraph import exterior as exterior_module
 from nfgraph.exterior import (
     TableSizeError,
     _scatter_fold,
@@ -23,9 +25,11 @@ from nfgraph.exterior import (
 )
 
 from helpers import (
+    SPECIAL_PARTS,
     add_at_fold,
     assert_same_bits,
     group_alphabets,
+    loop_exterior_bruteforce,
     mesh_graph,
     oracle_edge_marginal,
     oracle_exterior,
@@ -87,6 +91,125 @@ def test_bruteforce_cap_refuses():
     with pytest.raises(TableSizeError) as err:
         exterior_bruteforce(g, cap=16)
     assert err.value.states == 2 ** 7
+
+
+# -- block enumeration against the per-assignment loop ------------------------------
+
+# A closed complex graph's terms are array products, which may round a part
+# of a complex product in one step where the loop's scalar products round its
+# two halves apart; near +-1e308 that can move an overflow, so such graphs
+# draw the other special values only.
+NO_OVERFLOW_PARTS = SPECIAL_PARTS[np.abs(SPECIAL_PARTS) != 1e308]
+
+
+def _nan_parts(values):
+    return np.isnan(np.ascontiguousarray(values).reshape(-1).view(np.float64))
+
+
+def assert_matches_loop(g):
+    """The loop's bytes (NaN sign bits aside), or within 1e-12 on closed complex graphs."""
+    with np.errstate(all="ignore"):
+        got, want = exterior_bruteforce(g), loop_exterior_bruteforce(g)
+    assert got.domain == want.domain
+    real = not any(f.values.imag.any() for f in g.vertices.values())
+    if g.half_edges or real:
+        assert_same_bits(got.values, want.values)
+        return
+    assert (_nan_parts(got.values) == _nan_parts(want.values)).all()
+    if np.isfinite(want.values).all():
+        assert factors_allclose(got, want, tol=1e-12)
+
+
+def _with_values(g, draw):
+    return NfgGraph({v: Factor(f.domain, draw(f.domain.shape)) for v, f in g.vertices.items()},
+                    g.internal_edges, g.half_edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([1, 2, 5, 64, 2 ** 12]))
+def test_bruteforce_matches_the_loop(seed, real, block):
+    rng = np.random.default_rng(seed)
+    g = random_nfg(rng, max_vertices=5, max_internal=5, max_alpha=3, max_half=2, loops=True)
+    specials = SPECIAL_PARTS if g.half_edges or real else NO_OVERFLOW_PARTS
+    g = _with_values(g, lambda shape: special_complex(rng, shape, specials=specials).real
+                     if real else special_complex(rng, shape, specials=specials))
+    with mock.patch.object(exterior_module, "_BLOCK_TERMS", block):
+        assert_matches_loop(g)
+
+
+def test_bruteforce_block_boundary_does_not_divide_the_count():
+    # 3^8 = 6,561 assignments: one block of 4,096 and one of 2,465
+    rng = np.random.default_rng(11)
+    t = Alphabet(3)
+    axes = [f"a{k}" for k in range(8)]
+    g = NfgGraph({v: rand_factor(rng, axes, [t] * 8) for v in ("u", "w")},
+                 [InternalEdge(f"e{k}", (("u", a), ("w", a)), t) for k, a in enumerate(axes)])
+    assert 3 ** 8 % exterior_module._BLOCK_TERMS != 0
+    assert_matches_loop(g)
+    assert np.isclose(exterior_bruteforce(g).item(),
+                      np.sum(g.factor("u").values * g.factor("w").values))
+
+
+def test_bruteforce_accumulator_larger_than_a_block():
+    # 2^14 accumulator entries: every block holds a single assignment
+    rng = np.random.default_rng(12)
+    b = Alphabet(2)
+    u_axes = [f"h{k}" for k in range(13)] + ["s", "r"]
+    g = NfgGraph(
+        {"u": Factor(make_product_domain([(a, b) for a in u_axes]),
+                     special_complex(rng, (2,) * 15)),
+         "w": Factor(make_product_domain([("s", b), ("k", b), ("r", b)]),
+                     special_complex(rng, (2, 2, 2)))},
+        [InternalEdge("s", (("u", "s"), ("w", "s")), b),
+         InternalEdge("r", (("w", "r"), ("u", "r")), b)],
+        [HalfEdge("hk", ("w", "k"), b, "k")]
+        + [HalfEdge(f"h{k}", ("u", f"h{k}"), b, f"x{k}") for k in range(12, -1, -1)])
+    assert 2 ** 14 > exterior_module._BLOCK_TERMS
+    assert_matches_loop(g)
+
+
+def test_bruteforce_without_internal_edges_is_the_outer_product():
+    rng = np.random.default_rng(13)
+    b, t = Alphabet(2), Alphabet(3)
+    f = Factor(make_product_domain([("a", b), ("c", t)]), special_complex(rng, (2, 3)))
+    h = Factor(make_product_domain([("d", t)]), special_complex(rng, 3))
+    g = NfgGraph({"u": f, "w": h}, half_edges=[
+        HalfEdge("hd", ("w", "d"), t, "z"), HalfEdge("ha", ("u", "a"), b, "x"),
+        HalfEdge("hc", ("u", "c"), t, "y")])
+    assert_matches_loop(g)
+    z = exterior_bruteforce(g)
+    assert z.labels == ("z", "x", "y")
+
+
+def test_bruteforce_loop_takes_the_diagonal():
+    rng = np.random.default_rng(14)
+    t = Alphabet(3)
+    f = rand_factor(rng, ["a", "x", "b"], [t, t, t])
+    g = NfgGraph({"v": f}, [InternalEdge("e", (("v", "b"), ("v", "a")), t)],
+                 [HalfEdge("hx", ("v", "x"), t, "x")])
+    assert_matches_loop(g)
+    assert np.allclose(exterior_bruteforce(g).values,
+                       np.trace(f.values, axis1=0, axis2=2), rtol=0, atol=1e-12)
+
+
+def test_bruteforce_closed_ring_of_2_20_assignments_is_fast_and_small():
+    b = Alphabet(2)
+    m = Factor(make_product_domain([("l", b), ("r", b)]), [[1, 1], [1, 0]])
+    n = 20
+    g = NfgGraph({f"v{i}": m for i in range(n)},
+                 [InternalEdge(f"e{i}", ((f"v{i}", "r"), (f"v{(i + 1) % n}", "l")), b)
+                  for i in range(n)])
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        z = exterior_bruteforce(g)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.item() == 15127  # trace of [[1, 1], [1, 0]]^20, the Lucas number L_20
+    assert elapsed < 5.0
+    assert peak < 16 * 2 ** 20
 
 
 def _wide_pair(shared):
@@ -340,6 +463,17 @@ def test_spa_matches_bruteforce_marginals(seed):
         got = out.marginals[e.id].values
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(got - expected)) <= 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_spa_marginals_sum_to_the_eliminated_exterior(seed):
+    rng = np.random.default_rng(seed)
+    g = random_tree(rng, max_vertices=10, max_alpha=4, closed=True)
+    z = eliminate(g).result
+    marginals = sum_product(g).marginals
+    for e in g.internal_edges:
+        assert factors_allclose(Factor.scalar(marginals[e.id].values.sum()), z)
 
 
 def test_spa_cycle_rejected():

@@ -574,3 +574,66 @@ def test_holographic_transform_builds_one_graph(monkeypatch):
     monkeypatch.setattr(NfgGraph, "__init__", counting_init)
     holographic_transform(g, spec)
     assert len(calls) == 1
+
+
+# -- loop-end labels and transformer axis names ---------------------------------------
+
+
+def _loop_beside(half):
+    """A loop ``s`` at ``u`` beside an internal edge (or, if ``half``, a half edge) ``s#0``."""
+    b = Alphabet(2)
+    rng = np.random.default_rng(31)
+    taken = ("e", "s#0") if half else ("s#0", "h")
+    return NfgGraph(
+        {"u": rand_factor(rng, ["l0", "l1", "p", "x"], [b] * 4),
+         "w": rand_factor(rng, ["p", "q"], [b] * 2)},
+        internal_edges=[InternalEdge("s", (("u", "l0"), ("u", "l1")), b),
+                        InternalEdge(taken[0], (("u", "p"), ("w", "p")), b)],
+        half_edges=[HalfEdge(taken[1], ("u", "x"), b, "x"),
+                    HalfEdge("hq", ("w", "q"), b, "q")])
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["edge", "half-edge"])
+def test_loop_end_label_skips_a_taken_edge_id(half):
+    g = _loop_beside(half)
+    merged = merge_vertices(g, "u", "w")
+    assert merged.internal_edge("s").ends == (("u", "s#0.1"), ("u", "s#1"))
+    assert factors_allclose(exterior_bruteforce(merged), exterior_bruteforce(g), tol=1e-12)
+
+    rng = np.random.default_rng(32)
+    spec = HolographicSpec(external={"x": random_external_transformer(rng, Alphabet(2))})
+    out = assert_matches_chain(g, spec)
+    assert out.internal_edge("s").ends == (("u", "s#0.1"), ("u", "s#1"))
+    t = spec.external["x"].relabel({"arg1": "x_in", "arg2": "x"})
+    expected = contract([exterior_bruteforce(g).relabel({"x": "x_in"}), t])
+    assert factors_allclose(exterior_bruteforce(out), expected, tol=1e-9)
+
+
+def _renamed(t, names=("a", "b")):
+    return t.relabel(dict(zip(t.labels, names)))
+
+
+def test_misnamed_external_transformer_is_refused():
+    rng = np.random.default_rng(33)
+    g = mesh_graph(rng)
+    t = _renamed(random_external_transformer(rng, Alphabet(2)))
+    message = r"transformer for 'x1' must have axes 'arg1' and 'arg2', got \['a', 'b'\]"
+    with pytest.raises(ValueError, match=message):
+        insert_transformer(g, "x1", t)
+    with pytest.raises(ValueError, match=message):
+        holographic_transform(g, HolographicSpec(external={"x1": t}))
+
+
+@pytest.mark.parametrize("member", ["forward", "inverse"])
+def test_misnamed_pair_member_is_refused(member):
+    rng = np.random.default_rng(34)
+    g = mesh_graph(rng)
+    pair = random_transformer_pair(rng, Alphabet(2))
+    members = {"forward": pair.forward, "inverse": pair.inverse}
+    members[member] = _renamed(members[member], ("arg1", "s"))
+    bad = TransformerPair(**members)
+    message = rf"{member} transformer of edge 's2' must have axes 'arg1' and 'arg2'"
+    with pytest.raises(ValueError, match=message):
+        insert_transformer_pair(g, "s2", bad, orientation="f1")
+    with pytest.raises(ValueError, match=message):
+        holographic_transform(g, HolographicSpec(internal={"s2": (bad, "f1")}))
