@@ -198,7 +198,8 @@ def dual_via_fourier(g: NfgGraph, tol: float = 1e-9) -> NfgGraph:
 
     Inserts the kernel pair on every internal edge (forward kernel facing the
     latent side) and the plain kernel on every half edge; the output exterior
-    is proportional to the membership function of the dual code.
+    is proportional to the membership function of the dual code.  Edges over
+    one alphabet share one kernel and one pair.
     """
     for e in g.internal_edges:
         if not isinstance(e.alphabet, GroupAlphabet):
@@ -210,8 +211,10 @@ def dual_via_fourier(g: NfgGraph, tol: float = 1e-9) -> NfgGraph:
     if any(len(g.half_at(v)) > 1 for v in interfaces):
         raise ValueError("dual transformation needs one half edge per interface")
 
-    external = {h.var: make_indicator("fourier", h.alphabet, 2)
-                for h in g.half_edges}
+    kernels = {a: make_indicator("fourier", a, 2)
+               for a in dict.fromkeys(h.alphabet for h in g.half_edges)}
+    pairs = {a: make_fourier_pair(a) for a in dict.fromkeys(e.alphabet for e in g.internal_edges)}
+    external = {h.var: kernels[h.alphabet] for h in g.half_edges}
     internal = {}
     for e in g.internal_edges:
         away = [v for v in e.vertices if v not in interfaces]
@@ -220,8 +223,7 @@ def dual_via_fourier(g: NfgGraph, tol: float = 1e-9) -> NfgGraph:
         # the forward kernel faces away from the interfaces, preferring the
         # core indicator over a coefficient interposer
         core = [v for v in away if g.factor(v).tag != "scale"]
-        internal[e.id] = (make_fourier_pair(e.alphabet),
-                          sorted(core)[0] if core else sorted(away)[0])
+        internal[e.id] = (pairs[e.alphabet], sorted(core)[0] if core else sorted(away)[0])
     return holographic_transform(g, HolographicSpec(external=external,
                                                     internal=internal), tol=tol)
 
@@ -229,20 +231,24 @@ def dual_via_fourier(g: NfgGraph, tol: float = 1e-9) -> NfgGraph:
 def codewords(g: NfgGraph, tol: float = 1e-9) -> Tuple[Set[Tuple[int, ...]], float]:
     """Support of the exterior function plus the common scale.
 
-    Verifies the exterior is two-valued (each entry either ~0 or ~scale);
-    raises otherwise.
+    Verifies the exterior is finite and two-valued (each entry either ~0 or
+    ~scale); raises otherwise.
     """
     from .exterior import eliminate
 
     z = eliminate(g).result
     flat = z.values.reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        where = tuple(int(c) for c in np.unravel_index(k, z.values.shape))
+        raise ValueError(f"exterior entry {where} is not finite ({flat[k]:.6g})")
     mag = np.abs(flat)
     peak = float(np.max(mag))
     if peak == 0.0:
         return set(), 0.0
     ref = flat[int(np.argmax(mag))]
-    # the comparisons keep their senses, so NaN entries are kept, not refused
-    kept = ~(mag <= tol * peak)
+    kept = mag > tol * peak
     idx = np.flatnonzero(kept)
     off = idx[np.abs(flat[idx] - ref) > tol * peak]
     if off.size:

@@ -23,7 +23,7 @@ from .algebra import (
     make_product_domain,
 )
 from .factor import Factor
-from .indicators import INDICATOR_KINDS, TransformerPair, make_indicator
+from .indicators import INDICATOR_KINDS, TransformerPair, _checked_value, _table, make_indicator
 from .inference import Query
 from .models import CdnDesc, CfgDesc, FactorGraphDesc
 from .nfg import HalfEdge, InternalEdge, NfgGraph
@@ -118,7 +118,26 @@ def _parse_factor(name: str, spec: Mapping,
     if values.size != dom.size:
         raise ValueError(
             f"factor {name!r}: {values.size} values for a domain of size {dom.size}")
-    return Factor(dom, values, tag=spec.get("tag"))
+    tag = spec.get("tag")
+    if tag in ("eq", "sum", "max") and not _is_indicator_table(tag, dom, values):
+        # the kernels trust these tags and never read the table
+        raise ValueError(f"factor {name!r}: values are not the {tag!r} indicator "
+                         "its tag declares")
+    return Factor(dom, values, tag=tag)
+
+
+def _is_indicator_table(kind: str, dom, values: np.ndarray) -> bool:
+    """Whether ``values`` has the bytes of ``make_indicator(kind, ...)`` over ``dom``."""
+    alphabets = {alpha for _, alpha in dom.axes}
+    if len(alphabets) != 1:
+        return False
+    alphabet = alphabets.pop()
+    try:
+        _checked_value(kind, alphabet, dom.ndim, None)
+    except (TypeError, ValueError):
+        return False
+    want = np.asarray(_table(kind, alphabet, dom.ndim, None), dtype=np.complex128)
+    return want.tobytes() == values.tobytes()
 
 
 def _parse_graph(data: Mapping, alphabets: Mapping[str, AnyAlphabet]) -> NfgGraph:

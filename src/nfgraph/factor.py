@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,11 @@ __all__ = [
 REL_TOL = 1e-9
 
 STATE_CAP = 2 ** 24
+
+# indicator kinds whose table is symmetric in all its axes, and those
+# symmetric in all axes but the first (the head, ``arg1``)
+_SYMMETRIC_TAGS = frozenset({"eq", "parity", "fourier", "fourier_inv"})
+_HEADED_TAGS = frozenset({"sum", "max"})
 
 
 class TableSizeError(ValueError):
@@ -68,12 +73,13 @@ class Factor:
     """A dense complex table over a product domain with named axes.
 
     Values are stored row-major (last axis fastest) and are immutable after
-    construction.  Relabeling axes never changes values.  ``tag`` optionally
-    records the indicator kind a factor was built as, which the evaluation
-    engines may use for low-complexity shortcuts.
+    construction; an indicator's table may instead be built on its first read
+    (``_DeferredFactor``).  Relabeling axes never changes values.  ``tag``
+    optionally records the indicator kind a factor was built as, which the
+    evaluation engines may use for low-complexity shortcuts.
     """
 
-    __slots__ = ("domain", "values", "tag")
+    __slots__ = ("domain", "values", "tag", "_build")
 
     def __init__(self, domain: ProductDomain, values: np.ndarray | Sequence, tag: str | None = None):
         arr = np.asarray(values, dtype=np.complex128)
@@ -109,7 +115,12 @@ class Factor:
         return Factor(make_product_domain(axes), self.values, tag=self.tag)
 
     def transpose(self, labels: Sequence[str]) -> "Factor":
-        """Reorder axes to the given label order; the same order returns ``self``."""
+        """Reorder axes to the given label order; the same order returns ``self``.
+
+        The tag survives only where the reordered table is still that
+        indicator: any order of a symmetric kind, and for ``sum`` and ``max``
+        any order that keeps the head axis first.
+        """
         perm = [self.domain.axis_index(l) for l in labels]
         identity = list(range(self.ndim))
         if sorted(perm) != identity:
@@ -117,7 +128,10 @@ class Factor:
         if perm == identity:
             return self
         axes = tuple(self.domain.axes[i] for i in perm)
-        return Factor(make_product_domain(axes), self.values.transpose(perm), tag=self.tag)
+        tag = self.tag
+        if tag not in _SYMMETRIC_TAGS and not (tag in _HEADED_TAGS and perm[0] == 0):
+            tag = None
+        return Factor(make_product_domain(axes), self.values.transpose(perm), tag=tag)
 
     def scaled(self, scalar: complex) -> "Factor":
         return Factor(self.domain, self.values * scalar)
@@ -136,6 +150,42 @@ class Factor:
     @staticmethod
     def scalar(value: complex) -> "Factor":
         return Factor(make_product_domain([]), np.asarray(value, dtype=np.complex128))
+
+
+class _DeferredFactor(Factor):
+    """A factor whose table ``build()`` makes on the first read of ``values``.
+
+    The ``values`` slot stays unset until then, so the first read falls
+    through to ``__getattr__``, which builds, converts and freezes the table
+    exactly as ``Factor.__init__`` would, fills the slot and turns the object
+    into a plain ``Factor`` (attribute reads skip the hook from then on).
+    Relabeling an unbuilt factor keeps the table deferred.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, domain: ProductDomain, build: Callable[[], np.ndarray],
+                 tag: str | None = None):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_build", build)
+
+    def __getattr__(self, name):
+        if name != "values":
+            raise AttributeError(name)
+        arr = np.asarray(self._build(), dtype=np.complex128).reshape(self.domain.shape)
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_build", None)
+        object.__setattr__(self, "__class__", Factor)
+        return arr
+
+    def relabel(self, mapping: dict[str, str]) -> "Factor":
+        axes = tuple((mapping.get(l, l), a) for l, a in self.domain.axes)
+        if axes == self.domain.axes:
+            return self
+        # both factors share the one table, built by whichever is read first
+        return _DeferredFactor(make_product_domain(axes), lambda: self.values, self.tag)
 
 
 def factors_allclose(a: Factor, b: Factor, tol: float = REL_TOL) -> bool:

@@ -25,7 +25,7 @@ from .algebra import (
     make_product_domain,
     ordered_sizes,
 )
-from .factor import REL_TOL, Factor, _check_size, contract
+from .factor import REL_TOL, Factor, _check_size, _DeferredFactor, contract
 
 __all__ = [
     "INDICATOR_KINDS",
@@ -62,100 +62,107 @@ def _component_codes(sizes) -> list[np.ndarray]:
     return codes
 
 
-def _cumulus_table(sizes) -> np.ndarray:
-    table = np.ones((1, 1))
-    for s in sizes:
-        table = np.kron(table, np.tril(np.ones((s, s))))
-    return table
-
-
-def _difference_table(sizes) -> np.ndarray:
-    table = np.ones((1, 1))
-    for s in sizes:
-        table = np.kron(table, np.eye(s) - np.eye(s, k=-1))
-    return table
-
-
-def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
-                   value: Optional[int] = None) -> Factor:
-    """Build the dense table of a named indicator or transformer kernel.
-
-    A table of more than ``STATE_CAP`` entries raises
-    :class:`~nfgraph.factor.TableSizeError` before it is allocated.
-    """
-    if kind not in INDICATOR_KINDS:
-        raise ValueError(f"unknown indicator kind {kind!r}")
+def _table(kind: str, alphabet: AnyAlphabet, degree: int, value: Optional[int]) -> np.ndarray:
+    """The dense table of an indicator whose arguments ``make_indicator`` checked."""
     size = alphabet.size
-
     if kind == "eq":
-        if degree < 2:
-            raise ValueError("equality indicator needs degree >= 2")
-        _check_size(size ** degree)
         table = np.zeros((size,) * degree)
         table[tuple(np.arange(size) for _ in range(degree))] = 1.0
-        return Factor(_arg_domain(alphabet, degree), table, tag="eq")
-
+        return table
     if kind in ("sum", "parity"):
-        if not isinstance(alphabet, GroupAlphabet):
-            raise ValueError(f"{kind} indicator needs a group alphabet")
-        if degree < 2:
-            raise ValueError(f"{kind} indicator needs degree >= 2")
-        _check_size(size ** degree)
         add, _ = group_tables(alphabet)
         grids = _grids(size, degree)
         if kind == "sum":
             tail = grids[1]
             for g in grids[2:]:
                 tail = add[tail, g]
-            table = (grids[0] == tail).astype(float)
-        else:
-            total = grids[0]
-            for g in grids[1:]:
-                total = add[total, g]
-            table = (total == 0).astype(float)
-        return Factor(_arg_domain(alphabet, degree), table, tag=kind)
-
+            return (grids[0] == tail).astype(float)
+        total = grids[0]
+        for g in grids[1:]:
+            total = add[total, g]
+        return (total == 0).astype(float)
     if kind == "max":
-        sizes = ordered_sizes(alphabet)
-        if degree < 2:
-            raise ValueError("max indicator needs degree >= 2")
-        _check_size(size ** degree)
-        codes = _component_codes(sizes)
         grids = _grids(size, degree)
         table = np.ones((size,) * degree, dtype=bool)
-        for comp in codes:
+        for comp in _component_codes(ordered_sizes(alphabet)):
             tail = comp[grids[1]]
             for g in grids[2:]:
                 tail = np.maximum(tail, comp[g])
             table &= comp[grids[0]] == tail
-        return Factor(_arg_domain(alphabet, degree), table.astype(float), tag="max")
-
+        return table.astype(float)
     if kind == "eval":
+        table = np.zeros(size)
+        table[value] = 1.0
+        return table
+    if kind == "one":
+        return np.ones(size)
+    if kind in ("cumulus", "difference"):
+        table = np.ones((1, 1))
+        for s in ordered_sizes(alphabet):
+            block = np.tril(np.ones((s, s))) if kind == "cumulus" else np.eye(s) - np.eye(s, k=-1)
+            table = np.kron(table, block)
+        return table
+    return character_table(alphabet) if kind == "fourier" else dual_kernel_table(alphabet)
+
+
+def make_indicator(kind: str, alphabet: AnyAlphabet, degree: int,
+                   value: Optional[int] = None) -> Factor:
+    """A named indicator or transformer kernel, its dense table built on first read.
+
+    Every argument is checked here, and a table of more than ``STATE_CAP``
+    entries raises :class:`~nfgraph.factor.TableSizeError` here.  The table
+    itself is built from the kind, alphabet, degree and value when the
+    factor's ``values`` are first read, with the bytes an eager build gives;
+    reading only the tag and the domain, as the star kernels do, never
+    allocates it.
+    """
+    value = _checked_value(kind, alphabet, degree, value)
+    return _DeferredFactor(_arg_domain(alphabet, degree),
+                           lambda: _table(kind, alphabet, degree, value), tag=kind)
+
+
+def _checked_value(kind: str, alphabet: AnyAlphabet, degree: int,
+                   value: Optional[int]) -> Optional[int]:
+    """Raise unless ``make_indicator`` takes these arguments; return the value it uses."""
+    if kind not in INDICATOR_KINDS:
+        raise ValueError(f"unknown indicator kind {kind!r}")
+    size = alphabet.size
+
+    if kind in ("eq", "sum", "parity", "max"):
+        if kind in ("sum", "parity") and not isinstance(alphabet, GroupAlphabet):
+            raise ValueError(f"{kind} indicator needs a group alphabet")
+        if kind == "max":
+            ordered_sizes(alphabet)
+        if degree < 2:
+            name = "equality" if kind == "eq" else kind
+            raise ValueError(f"{name} indicator needs degree >= 2")
+        _check_size(size ** degree)
+    elif kind == "eval":
         if degree != 1:
             raise ValueError("evaluation indicator has degree 1")
         if value is None:
             raise ValueError("evaluation indicator needs a value")
-        table = np.zeros(size)
-        table[alphabet.check(value)] = 1.0
-        return Factor(_arg_domain(alphabet, 1), table, tag="eval")
-
-    if kind == "one":
+        value = alphabet.check(value)
+    elif kind == "one":
         if degree != 1:
             raise ValueError("constant-one indicator has degree 1")
-        return Factor(_arg_domain(alphabet, 1), np.ones(size), tag="one")
+    else:
+        # bivariate transformer kernels
+        if degree != 2:
+            raise ValueError(f"{kind} kernel is bivariate")
+        _check_size(size * size)
+        if kind in ("cumulus", "difference"):
+            ordered_sizes(alphabet)
+        elif not isinstance(alphabet, GroupAlphabet):
+            raise ValueError(f"{kind} kernel needs a group alphabet")
+    return value
 
-    # bivariate transformer kernels
-    if degree != 2:
-        raise ValueError(f"{kind} kernel is bivariate")
-    _check_size(size * size)
-    if kind in ("cumulus", "difference"):
-        sizes = ordered_sizes(alphabet)
-        table = _cumulus_table(sizes) if kind == "cumulus" else _difference_table(sizes)
-        return Factor(_arg_domain(alphabet, 2), table, tag=kind)
-    if not isinstance(alphabet, GroupAlphabet):
-        raise ValueError(f"{kind} kernel needs a group alphabet")
-    table = character_table(alphabet) if kind == "fourier" else dual_kernel_table(alphabet)
-    return Factor(_arg_domain(alphabet, 2), table, tag=kind)
+
+def _check_axis_names(transformer: Factor, name: str) -> None:
+    """Transformers bind by axis name: refuse one whose axes are not arg1, arg2."""
+    if set(transformer.labels) != {"arg1", "arg2"}:
+        raise ValueError(f"{name} must have axes 'arg1' and 'arg2', "
+                         f"got {list(transformer.labels)}")
 
 
 @dataclass(frozen=True)
@@ -175,10 +182,15 @@ class TransformerPair:
 
     @property
     def alphabet(self) -> AnyAlphabet:
-        return self.forward.domain.axes[0][1]
+        return self.forward.domain.alphabet("arg1")
 
     def verify(self, tol: float = REL_TOL) -> float:
-        """Max deviation of <g, g~> from the equality indicator; raises past tol."""
+        """Max deviation of <g, g~> from the equality indicator; raises past tol.
+
+        A member whose axes are not ``arg1``, ``arg2`` is refused first.
+        """
+        _check_axis_names(self.forward, "forward transformer")
+        _check_axis_names(self.inverse, "inverse transformer")
         g = self.forward.relabel({"arg1": "x", "arg2": "s"})
         ginv = self.inverse.relabel({"arg1": "s", "arg2": "xp"})
         prod = contract([g, ginv]).transpose(["x", "xp"])

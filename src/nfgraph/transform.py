@@ -22,7 +22,7 @@ from .algebra import (
     ordered_sizes,
 )
 from .factor import REL_TOL, Factor, OpCounter, contract, factors_allclose
-from .indicators import TransformerPair
+from .indicators import TransformerPair, _check_axis_names
 from .nfg import Endpoint, HalfEdge, InternalEdge, NfgGraph
 
 __all__ = [
@@ -104,11 +104,17 @@ def _rewired_edges(g: NfgGraph, owner: Mapping[str, str],
 
 
 def _check_pair(g: NfgGraph, edge_id: str, pair: TransformerPair, orientation: str,
-                tol: float) -> Tuple[Endpoint, Endpoint]:
-    """Verify a pair for an internal edge; return the edge's (near, far) ends."""
+                tol: float, verified: set) -> Tuple[Endpoint, Endpoint]:
+    """Verify a pair for an internal edge; return the edge's (near, far) ends.
+
+    ``verified`` holds the ``id`` of each pair that passed ``verify`` earlier
+    in the same rewrite; such a pair is not verified again.
+    """
     _check_axis_names(pair.forward, f"forward transformer of edge {edge_id!r}")
     _check_axis_names(pair.inverse, f"inverse transformer of edge {edge_id!r}")
-    pair.verify(tol)
+    if id(pair) not in verified:
+        pair.verify(tol)
+        verified.add(id(pair))
     e = g.internal_edge(edge_id)
     if e.is_loop():
         raise ValueError("transformer insertion on a self-loop is not supported")
@@ -117,21 +123,13 @@ def _check_pair(g: NfgGraph, edge_id: str, pair: TransformerPair, orientation: s
     near = e.ends[0] if e.ends[0][0] == orientation else e.ends[1]
     far = e.ends[1] if near is e.ends[0] else e.ends[0]
 
-    x_alpha = pair.forward.domain.axes[0][1]
-    s_alpha = pair.forward.domain.axes[1][1]
-    if pair.inverse.domain.axes[0][1] != s_alpha or \
-            pair.inverse.domain.axes[1][1] != x_alpha:
+    x_alpha = pair.forward.alphabet("arg1")
+    s_alpha = pair.forward.alphabet("arg2")
+    if pair.inverse.alphabet("arg1") != s_alpha or pair.inverse.alphabet("arg2") != x_alpha:
         raise ValueError("pair member alphabets are inconsistent")
     if x_alpha != e.alphabet:
         raise ValueError(f"pair alphabet does not match edge {edge_id!r}")
     return near, far
-
-
-def _check_axis_names(transformer: Factor, name: str) -> None:
-    """Transformers bind by axis name: refuse one whose axes are not arg1, arg2."""
-    if set(transformer.labels) != {"arg1", "arg2"}:
-        raise ValueError(f"{name} must have axes 'arg1' and 'arg2', "
-                         f"got {list(transformer.labels)}")
 
 
 def _check_transformer(g: NfgGraph, var: str, transformer: Factor) -> HalfEdge:
@@ -140,7 +138,7 @@ def _check_transformer(g: NfgGraph, var: str, transformer: Factor) -> HalfEdge:
         raise ValueError("external transformer must be bivariate")
     _check_axis_names(transformer, f"transformer for {var!r}")
     h = g.half_edge_for_var(var)
-    if transformer.domain.axes[0][1] != h.alphabet:
+    if transformer.alphabet("arg1") != h.alphabet:
         raise ValueError(f"transformer does not match the alphabet of {var!r}")
     return h
 
@@ -152,7 +150,7 @@ def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
     ``orientation`` names the endpoint vertex the forward transformer sits
     next to.  The exterior function is unchanged.
     """
-    near, far = _check_pair(g, edge_id, pair, orientation, tol)
+    near, far = _check_pair(g, edge_id, pair, orientation, tol, set())
     w_fwd = g.fresh_id(f"{edge_id}_g")
     w_inv = g.fresh_id(f"{edge_id}_gi")
     e_near = g.fresh_id(f"{edge_id}_a")
@@ -165,7 +163,7 @@ def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
     internal = [x for x in g.internal_edges if x.id != edge_id]
     internal.append(InternalEdge(e_near, (near, (w_fwd, "arg1")), pair.alphabet))
     internal.append(InternalEdge(e_mid, ((w_fwd, "arg2"), (w_inv, "arg1")),
-                                 pair.forward.domain.axes[1][1]))
+                                 pair.forward.alphabet("arg2")))
     internal.append(InternalEdge(e_far, ((w_inv, "arg2"), far), pair.alphabet))
     return NfgGraph(vertices, internal, g.half_edges)
 
@@ -173,13 +171,13 @@ def insert_transformer_pair(g: NfgGraph, edge_id: str, pair: TransformerPair,
 def insert_transformer(g: NfgGraph, var: str, transformer: Factor) -> NfgGraph:
     """Insert a bivariate transformer g(x, y) into a half edge.
 
-    The first axis faces the original vertex; the second becomes the new
+    Axis ``arg1`` faces the original vertex; ``arg2`` becomes the new
     external variable (same name, possibly a different alphabet).
     """
     h = _check_transformer(g, var, transformer)
     w = g.fresh_id(f"{var}_g")
     e_new = g.fresh_id(f"{var}_t")
-    y_alpha = transformer.domain.axes[1][1]
+    y_alpha = transformer.alphabet("arg2")
     vertices = dict(g.vertices)
     vertices[w] = transformer
     internal = list(g.internal_edges)
@@ -205,7 +203,8 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
     contracted with its external transformers (by variable, ``arg1`` facing
     it) and its member of each pair (by edge id; the forward member faces the
     near end through ``arg1``, the inverse the far end through ``arg2``).
-    Both ends of a paired edge take the label ``g.fresh_id(f"{id}_m")``.  Ids
+    Both ends of a paired edge take the label ``g.fresh_id(f"{id}_m")``.  A
+    pair object shared by several edges is verified once.  Ids
     and variables are kept; untransformed vertices precede transformed ones,
     unpaired edges precede paired ones (by id), otherwise in input order.
     """
@@ -225,9 +224,10 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
         summed[h.end[0]][h.end[1]] = seg
         members[h.end[0]].append(t.relabel({"arg1": seg, "arg2": h.id}))
     paired: List[InternalEdge] = []
+    verified: set = set()
     for eid in sorted(spec.internal):
         pair, orientation = spec.internal[eid]
-        near, far = _check_pair(g, eid, pair, orientation, tol)
+        near, far = _check_pair(g, eid, pair, orientation, tol, verified)
         mid = g.fresh_id(f"{eid}_m")
         a, b = g.fresh_id(f"{eid}_a"), g.fresh_id(f"{eid}_b")
         summed[near[0]][near[1]] = a
@@ -235,7 +235,7 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
         members[near[0]].append(pair.forward.relabel({"arg1": a, "arg2": mid}))
         members[far[0]].append(pair.inverse.relabel({"arg1": mid, "arg2": b}))
         paired.append(InternalEdge(eid, ((near[0], mid), (far[0], mid)),
-                                   pair.forward.domain.axes[1][1]))
+                                   pair.forward.alphabet("arg2")))
 
     labels: Dict[str, Dict[str, str]] = {}
     for v in members:
@@ -250,7 +250,7 @@ def holographic_transform(g: NfgGraph, spec: HolographicSpec,
 
     internal, half = _rewired_edges(
         g, {v: v for v in members}, labels, spec.internal,
-        {var: t.domain.axes[1][1] for var, t in spec.external.items()})
+        {var: t.alphabet("arg2") for var, t in spec.external.items()})
     return NfgGraph(vertices, internal + paired, half)
 
 

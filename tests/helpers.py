@@ -4,6 +4,7 @@ The oracles here enumerate assignments with plain Python loops and index
 lookups; they deliberately avoid the package's contraction machinery.
 """
 
+import cmath
 import itertools
 
 import numpy as np
@@ -13,6 +14,8 @@ from nfgraph.algebra import (
     Alphabet,
     GroupAlphabet,
     OrderedAlphabet,
+    OrderedProductAlphabet,
+    character,
     group_add,
     group_neg,
     make_product_domain,
@@ -323,6 +326,12 @@ def scan_fresh_id(g, prefix):
 group_alphabets = st.lists(st.integers(2, 7), min_size=1, max_size=3).map(
     lambda moduli: GroupAlphabet(tuple(moduli)))
 
+# ordered alphabets of 2..7 symbols and ordered products of 2-3 components
+ordered_alphabets = st.one_of(
+    st.integers(2, 7).map(OrderedAlphabet),
+    st.lists(st.integers(2, 4), min_size=2, max_size=3).map(
+        lambda sizes: OrderedProductAlphabet(tuple(sizes))))
+
 SPECIAL_PARTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
 
 
@@ -374,6 +383,46 @@ def loop_sum_indicator(kind, g, degree):
     return table
 
 
+def _components(alphabet, x):
+    return alphabet.decode(x) if isinstance(alphabet, OrderedProductAlphabet) else (x,)
+
+
+def loop_indicator(kind, alphabet, degree, value=None):
+    """Any indicator kind's table, one entry at a time from its definition.
+
+    Ordered products compare componentwise.  The Fourier kernels come from the
+    scalar ``character``, which rounds differently from the dense tables, so
+    they agree with ``make_indicator`` within rounding, not in their bytes.
+    """
+    if kind in ("sum", "parity"):
+        return loop_sum_indicator(kind, alphabet, degree)
+    n = alphabet.size
+    table = np.zeros((n,) * degree, dtype=np.complex128)
+    for assign in itertools.product(range(n), repeat=degree):
+        parts = [_components(alphabet, x) for x in assign]
+        if kind == "eq":
+            entry = float(len(set(assign)) == 1)
+        elif kind == "max":
+            entry = float(all(head == max(tail) for head, *tail in zip(*parts)))
+        elif kind == "eval":
+            entry = float(assign[0] == value)
+        elif kind == "one":
+            entry = 1.0
+        elif kind in ("cumulus", "difference"):
+            entry = 1.0
+            for x, y in zip(*parts):
+                if kind == "cumulus":
+                    entry *= float(x >= y)
+                else:
+                    entry *= 1.0 if x == y else -1.0 if x == y + 1 else 0.0
+        elif kind == "fourier":
+            entry = character(alphabet, *assign)
+        else:
+            entry = character(alphabet, assign[0], group_neg(alphabet, assign[1])) / n
+        table[assign] = entry
+    return table
+
+
 def add_at_fold(vectors, index):
     """The pairwise scatter fold through ``np.add.at``."""
     acc = vectors[0]
@@ -411,6 +460,10 @@ def loop_convolve(a, b):
 def loop_codewords(values, tol=1e-9):
     """Support and scale of a two-valued exterior table, one entry at a time."""
     flat = values.reshape(-1)
+    for idx in range(flat.size):
+        if not cmath.isfinite(flat[idx]):
+            where = tuple(int(c) for c in np.unravel_index(idx, values.shape))
+            raise ValueError(f"exterior entry {where} is not finite ({flat[idx]:.6g})")
     peak = float(np.max(np.abs(flat)))
     if peak == 0.0:
         return set(), 0.0

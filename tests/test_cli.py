@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nfgraph import cli
+from nfgraph.algebra import GroupAlphabet
 from nfgraph.cli import main
 from nfgraph.document import (
     dump_document,
@@ -18,6 +19,7 @@ from nfgraph.document import (
 )
 from nfgraph.exterior import exterior_bruteforce
 from nfgraph.factor import factors_allclose
+from nfgraph.indicators import make_indicator
 from nfgraph.models import fg_global_function
 
 from helpers import mesh_graph, random_nfg
@@ -474,3 +476,38 @@ def test_indep_chain_documents():
     gen = load_document(json.loads(
         (GRAPHS / "indep_chain_generative.json").read_text())).graph
     assert independence(gen, ["x"], ["z"], ["y"]).kind == "marginal"
+
+
+def _tagged_star_document(values, tag="sum"):
+    """A degree-3 Z_4 vertex with explicit ``values`` tagged ``tag``, and a leaf per axis."""
+    leaf = [0.5, 1.0, 0.25, 2.0]
+    return {
+        "alphabets": {"z": {"kind": "group", "moduli": [4]}},
+        "factors": {
+            "s": {"axes": [[f"arg{k}", "z"] for k in (1, 2, 3)],
+                  "values": [float(v) for v in values], "tag": tag},
+            "leaf": {"axes": [["a", "z"]], "values": leaf},
+        },
+        "vertices": {"c": "s", "l1": "leaf", "l2": "leaf", "l3": "leaf"},
+        "edges": [{"id": f"e{k}", "alphabet": "z", "ends": [["c", f"arg{k}"], [f"l{k}", "a"]]}
+                  for k in (1, 2, 3)],
+    }
+
+
+def test_exit_1_on_a_document_whose_kernel_tag_is_false(capsys, tmp_path):
+    table = make_indicator("sum", GroupAlphabet((4,)), 3).values.real.reshape(-1)
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(_tagged_star_document(table)))
+    code, out, _ = run_cli(capsys, "spa", str(path))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+
+    forged = table.copy()
+    forged[5] = 1.0 - forged[5]
+    for tag in ("sum", "eq", "max"):
+        path.write_text(json.dumps(_tagged_star_document(forged if tag == "sum" else table, tag)))
+        for command in ("spa", "exterior"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (1, "")
+            assert f"factor 's': values are not the '{tag}' indicator its tag declares" in err

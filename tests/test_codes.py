@@ -248,11 +248,46 @@ def test_codewords_matches_the_loop_oracle(values):
         assert got == _outcome(lambda: loop_codewords(values))
 
 
-def test_codewords_keeps_nan_entries_and_names_the_first_offending_entry():
-    # a NaN peak makes every comparison false: all entries kept, no error
-    words, scale = codewords(_exterior_graph(np.array([2.5, complex("nan"), 0.0])))
-    assert words == {(0,), (1,), (2,)} and math.isnan(scale)
+def test_codewords_refuses_nan_entries_and_names_the_first_offending_entry():
+    # a NaN or infinite entry is refused, naming the first such entry
+    with pytest.raises(ValueError) as err:
+        codewords(_exterior_graph(np.array([2.5, complex("nan"), complex(0, math.inf)])))
+    assert str(err.value) == "exterior entry (1,) is not finite (nan+0j)"
+    with pytest.raises(ValueError) as err:
+        codewords(_exterior_graph(np.array([[2.5, 0.0], [math.inf, 0.0]])))
+    assert str(err.value) == "exterior entry (1, 0) is not finite (inf+0j)"
     with pytest.raises(ValueError) as err:
         codewords(_exterior_graph(np.array([[2.5, 1.25], [-2.5, 0.0]])))
     assert str(err.value) == ("exterior is not proportional to a 0/1 indicator "
                               "(entry 1.25+0j vs scale 2.5+0j)")
+
+
+def test_dual_via_fourier_builds_and_verifies_one_pair_per_alphabet(monkeypatch):
+    from nfgraph import codes
+    from nfgraph.indicators import TransformerPair
+
+    calls = {"pair": 0, "kernel": 0, "verify": 0}
+    make_pair, make_kernel, verify = (codes.make_fourier_pair, codes.make_indicator,
+                                      TransformerPair.verify)
+
+    def counted_pair(alphabet):
+        calls["pair"] += 1
+        return make_pair(alphabet)
+
+    def counted_kernel(kind, *args, **kwargs):
+        calls["kernel"] += kind == "fourier"
+        return make_kernel(kind, *args, **kwargs)
+
+    def counted_verify(self, tol=1e-9):
+        calls["verify"] += 1
+        return verify(self, tol)
+
+    g = generator_realization(LinearCodeSpec(p=2, n=7, k=4, matrix=HAMMING_G))
+    monkeypatch.setattr(codes, "make_fourier_pair", counted_pair)
+    monkeypatch.setattr(codes, "make_indicator", counted_kernel)
+    monkeypatch.setattr(TransformerPair, "verify", counted_verify)
+    dual = dual_via_fourier(g)
+    assert calls == {"pair": 1, "kernel": 1, "verify": 1}
+    assert len(g.internal_edges) == 13
+    words, _ = codewords(dual)
+    assert len(words) == 8

@@ -750,3 +750,69 @@ def test_scatter_fold_matches_add_at(g, k, seed):
         want = add_at_fold(vectors, index)
     assert_same_bits(got, want)
     assert counter.mults == (k - 1) * g.size ** 2
+
+
+def _sum_star(center, leaves, open_axis=None):
+    """``center`` with a leaf on each axis but ``open_axis``, which is a half edge."""
+    z = center.alphabet(center.labels[0])
+    vertices, internal, half = {"c": center}, [], []
+    for k, axis in enumerate(center.labels):
+        if axis == open_axis:
+            half.append(HalfEdge("h", ("c", axis), z, "s"))
+            continue
+        vertices[f"l{k}"] = leaves[k]
+        internal.append(InternalEdge(f"e{k}", (("c", axis), (f"l{k}", "a")), z))
+    return NfgGraph(vertices, internal, half)
+
+
+def test_kernels_on_a_transposed_sum_indicator_match_the_dense_path():
+    rng = np.random.default_rng(41)
+    z = GroupAlphabet((5,))
+    leaves = [rand_factor(rng, ["a"], [z], positive=True) for _ in range(3)]
+    swapped = make_indicator("sum", z, 3).transpose(["arg2", "arg1", "arg3"])
+    assert swapped.tag is None
+    g = _sum_star(swapped, leaves)
+    kernel = sum_product(g, use_kernels=True)
+    dense = sum_product(g, use_kernels=False)
+    for eid in ("e0", "e1", "e2"):
+        want = oracle_edge_marginal(g, eid)
+        assert np.allclose(kernel.marginals[eid].values, want, rtol=1e-12, atol=0)
+        assert np.array_equal(kernel.marginals[eid].values, dense.marginals[eid].values)
+    open_g = _sum_star(swapped, leaves, open_axis="arg1")
+    block = eliminate(open_g, strategy="given-order", order=[("block", "c")], use_kernels=True)
+    assert factors_allclose(block.result, exterior_bruteforce(open_g), tol=1e-12)
+    # the head still first keeps the tag, and the kernels then agree too
+    kept = make_indicator("sum", z, 3).transpose(["arg1", "arg3", "arg2"])
+    assert kept.tag == "sum"
+    g = _sum_star(kept, leaves)
+    kernel = sum_product(g, use_kernels=True)
+    for eid in ("e0", "e1", "e2"):
+        want = oracle_edge_marginal(g, eid)
+        assert np.allclose(kernel.marginals[eid].values, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("engine", ["sum_product", "block"])
+def test_kernels_close_a_z255_sum_star_without_building_its_table(engine):
+    # 255^3 = 16,581,375 entries, under the cap: 253 MiB if the table were built
+    rng = np.random.default_rng(42)
+    z = GroupAlphabet((255,))
+    leaves = [Factor(make_product_domain([("a", z)]), rng.uniform(0.2, 1.0, z.size))
+              for _ in range(3)]
+    tracemalloc.start()
+    try:
+        center = make_indicator("sum", z, 3)
+        if engine == "sum_product":
+            out = sum_product(_sum_star(center, leaves)).marginals["e0"].values
+        else:
+            out = eliminate(_sum_star(center, leaves, open_axis="arg1"),
+                            strategy="given-order", order=[("block", "c")],
+                            use_kernels=True).result.values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    conv = np.zeros(z.size)
+    for x, y in itertools.product(range(z.size), repeat=2):
+        conv[(x + y) % z.size] += leaves[1].values[x].real * leaves[2].values[y].real
+    want = conv * leaves[0].values.real if engine == "sum_product" else conv
+    assert np.allclose(out, want, rtol=1e-12, atol=0)

@@ -361,3 +361,33 @@ def test_split_decompose_positive_matches_conditional_form():
         got = part.values.real
         got = got / got.sum(axis=1, keepdims=True)
         assert np.allclose(got, direct, atol=1e-9)
+
+
+def test_transpose_keeps_a_tag_only_where_the_table_is_still_that_indicator():
+    from nfgraph.algebra import OrderedAlphabet
+
+    z = GroupAlphabet((3,))
+    cases = [
+        (make_indicator("eq", Alphabet(2), 3), ["arg3", "arg1", "arg2"], "eq"),
+        (make_indicator("parity", z, 3), ["arg2", "arg3", "arg1"], "parity"),
+        (make_indicator("fourier", z, 2), ["arg2", "arg1"], "fourier"),
+        (make_indicator("fourier_inv", z, 2), ["arg2", "arg1"], "fourier_inv"),
+        (make_indicator("sum", z, 3), ["arg1", "arg3", "arg2"], "sum"),
+        (make_indicator("sum", z, 3), ["arg2", "arg1", "arg3"], None),
+        (make_indicator("max", OrderedAlphabet(3), 3), ["arg1", "arg3", "arg2"], "max"),
+        (make_indicator("max", OrderedAlphabet(3), 3), ["arg3", "arg2", "arg1"], None),
+        (make_indicator("cumulus", OrderedAlphabet(3), 2), ["arg2", "arg1"], None),
+        (Factor(make_product_domain([("x", z), ("y", z)]), np.eye(3), tag="scale"),
+         ["y", "x"], None),
+    ]
+    for f, order, tag in cases:
+        out = f.transpose(order)
+        assert out.tag == tag, (f.tag, order)
+        if tag is not None:
+            # the reordered table is still the tagged indicator (the dual
+            # kernel's phases round differently on the two sides)
+            built = make_indicator(tag, f.alphabet("arg1"), f.ndim).values
+            if tag == "fourier_inv":
+                assert np.allclose(out.values, built, rtol=0, atol=1e-15)
+            else:
+                assert out.values.tobytes() == built.tobytes()

@@ -11,8 +11,10 @@ from nfgraph.algebra import (
     OrderedAlphabet,
     OrderedProductAlphabet,
 )
+from nfgraph.algebra import character_table, dual_kernel_table
 from nfgraph.factor import TableSizeError, conditional_constant, contract, split_decompose
 from nfgraph.indicators import (
+    INDICATOR_KINDS,
     TransformerPair,
     identity_transformer,
     make_cumulus_pair,
@@ -20,7 +22,8 @@ from nfgraph.indicators import (
     make_indicator,
 )
 
-from helpers import group_alphabets, loop_sum_indicator
+from helpers import (group_alphabets, loop_indicator, loop_sum_indicator, ordered_alphabets,
+                     random_transformer_pair)
 
 
 def test_equality_table():
@@ -224,3 +227,83 @@ def test_make_indicator_refuses_an_oversized_table_before_allocating(
     assert time.process_time() - start < 1.0
     assert (err.value.states, err.value.cap) == (states, 2 ** 24)
     assert peak < 2 ** 24
+
+
+_DEGREES = {"eq": (2, 3), "sum": (2, 3), "parity": (2, 3), "max": (2, 3), "eval": (1,),
+            "one": (1,), "cumulus": (2,), "difference": (2,), "fourier": (2,),
+            "fourier_inv": (2,)}
+
+
+def _is_deferred(f):
+    return getattr(f, "_build", None) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_deferred_tables_match_the_loop_oracle(data):
+    kind = data.draw(st.sampled_from(INDICATOR_KINDS))
+    if kind in ("sum", "parity", "fourier", "fourier_inv"):
+        alphabet = data.draw(group_alphabets)
+    elif kind in ("max", "cumulus", "difference"):
+        alphabet = data.draw(ordered_alphabets)
+    else:
+        alphabet = data.draw(st.one_of(group_alphabets, ordered_alphabets))
+    degree = data.draw(st.sampled_from(_DEGREES[kind]))
+    assume(alphabet.size ** degree <= 4096)
+    value = data.draw(st.integers(0, alphabet.size - 1)) if kind == "eval" else None
+    f = make_indicator(kind, alphabet, degree, value=value)
+    assert _is_deferred(f) and f.tag == kind
+    got = f.values
+    assert not _is_deferred(f) and f.values is got
+    assert got.dtype == np.complex128 and got.shape == (alphabet.size,) * degree
+    assert not got.flags.writeable
+    want = loop_indicator(kind, alphabet, degree, value)
+    if kind == "fourier":
+        assert got.tobytes() == character_table(alphabet).tobytes()
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    elif kind == "fourier_inv":
+        assert got.tobytes() == dual_kernel_table(alphabet).tobytes()
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert got.tobytes() == want.astype(np.complex128).tobytes()
+
+
+def test_relabel_keeps_a_table_deferred():
+    f = make_indicator("sum", GroupAlphabet((5,)), 3)
+    renamed = f.relabel({"arg1": "s", "arg3": "t"})
+    assert renamed.labels == ("s", "arg2", "t") and renamed.tag == "sum"
+    assert f.relabel({}) is f and f.relabel({"x": "y"}) is f
+    twice = renamed.relabel({"s": "u"})
+    assert _is_deferred(f) and _is_deferred(renamed) and _is_deferred(twice)
+    # the first read builds the one table that all three share
+    assert twice.values.tobytes() == loop_sum_indicator("sum", GroupAlphabet((5,)), 3) \
+        .astype(np.complex128).tobytes()
+    assert not _is_deferred(f) and np.shares_memory(f.values, twice.values)
+    assert np.shares_memory(f.values, renamed.values)
+    built = renamed.relabel({"s": "v"})
+    assert not _is_deferred(built) and np.shares_memory(built.values, f.values)
+    with pytest.raises(AttributeError):
+        f.values = None
+    with pytest.raises(AttributeError):
+        f.other
+
+
+def test_pair_alphabet_and_verify_bind_members_by_name():
+    rng = np.random.default_rng(36)
+    pair = random_transformer_pair(rng, Alphabet(3))
+    while pair.forward.alphabet("arg2").size == 3:
+        pair = random_transformer_pair(rng, Alphabet(3))
+    swapped = TransformerPair(pair.forward.transpose(["arg2", "arg1"]),
+                              pair.inverse.transpose(["arg2", "arg1"]))
+    assert swapped.alphabet == pair.alphabet == Alphabet(3)
+    assert swapped.verify() == pair.verify()
+
+
+@pytest.mark.parametrize("member", ["forward", "inverse"])
+def test_verify_names_a_member_with_other_axes(member):
+    members = {"forward": make_indicator("cumulus", OrderedAlphabet(3), 2),
+               "inverse": make_indicator("difference", OrderedAlphabet(3), 2)}
+    members[member] = members[member].relabel({"arg2": "s"})
+    with pytest.raises(ValueError, match=rf"^{member} transformer must have axes "
+                                         r"'arg1' and 'arg2', got \['arg1', 's'\]$"):
+        TransformerPair(**members).verify()

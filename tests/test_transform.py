@@ -637,3 +637,35 @@ def test_misnamed_pair_member_is_refused(member):
         insert_transformer_pair(g, "s2", bad, orientation="f1")
     with pytest.raises(ValueError, match=message):
         holographic_transform(g, HolographicSpec(internal={"s2": (bad, "f1")}))
+
+
+def _swapped(t):
+    return t.transpose(["arg2", "arg1"])
+
+
+def test_transformers_stored_arg2_first_are_bound_by_name():
+    rng = np.random.default_rng(35)
+    g = mesh_graph(rng)
+    h = g.half_edge_for_var("x1")
+    t = random_external_transformer(rng, h.alphabet)
+    while t.alphabet("arg2") == h.alphabet:
+        t = random_external_transformer(rng, h.alphabet)
+    want = exterior_bruteforce(insert_transformer(g, "x1", t))
+    got = insert_transformer(g, "x1", _swapped(t))
+    assert got.half_edge_for_var("x1").alphabet == t.alphabet("arg2")
+    assert factors_allclose(exterior_bruteforce(got), want, tol=1e-12)
+    out = holographic_transform(g, HolographicSpec(external={"x1": _swapped(t)}))
+    assert out.half_edge_for_var("x1").alphabet == t.alphabet("arg2")
+    assert factors_allclose(exterior_bruteforce(out), want, tol=1e-12)
+
+    e = g.internal_edge("s2")
+    pair = random_transformer_pair(rng, e.alphabet)
+    while pair.forward.alphabet("arg2") == e.alphabet:
+        pair = random_transformer_pair(rng, e.alphabet)
+    swapped = TransformerPair(_swapped(pair.forward), _swapped(pair.inverse))
+    assert swapped.alphabet == e.alphabet
+    inserted = insert_transformer_pair(g, "s2", swapped, orientation=e.vertices[0])
+    assert factors_allclose(exterior_bruteforce(inserted), exterior_bruteforce(g), tol=1e-9)
+    out = holographic_transform(g, HolographicSpec(internal={"s2": (swapped, e.vertices[0])}))
+    assert out.internal_edge("s2").alphabet == pair.forward.alphabet("arg2")
+    assert factors_allclose(exterior_bruteforce(out), exterior_bruteforce(g), tol=1e-9)
